@@ -52,7 +52,7 @@ func main() {
 		loss       = flag.Float64("loss", 0, "kvload: wire packet loss probability")
 		failWrites = flag.Int("fail-writes", 0, "kvload: fail the next N log-device write completions after prefill")
 		failShard  = flag.Int("fail-shard", 0, "kvload: which shard's device the injected failures hit")
-		dumpOnFail = flag.String("dump-on-fail", "", "kvload: write a machine core dump into this directory on any shard fail-stop")
+		dumpOnFail = flag.String("dump-on-fail", "", "write a machine core dump into this directory on any shard fail-stop or red chaos run (\"\" = none)")
 		replay     = flag.String("replay", "", "replay a machine core dump: rebuild its world and halt at the recorded event count")
 		redump     = flag.String("redump", "", "with -replay: re-dump the halted machine to this path (differential check)")
 

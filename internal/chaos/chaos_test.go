@@ -189,11 +189,18 @@ func TestChaosRedReplay(t *testing.T) {
 		t.Fatal("dump.Replay accepted a chaos dump")
 	}
 
+	before, err := dirState(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	rr, err := Replay(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rr.Close()
+	if after, err := dirState("."); err != nil || after != before {
+		t.Fatalf("replay wrote into the working directory (err %v):\n%s", err, after)
+	}
 	if rr.EventCount != orig.EventCount {
 		t.Fatalf("replay halted at event %d, recorded %d", rr.EventCount, orig.EventCount)
 	}

@@ -111,7 +111,8 @@ type Spec struct {
 	// schedule is generated from (Cfg, Seed).
 	Cfg   dump.Config
 	Sched Schedule
-	// DumpDir receives red-run machine dumps ("" = current directory).
+	// DumpDir receives red-run machine dumps; "" writes none (a
+	// replay, say, must not litter the working directory).
 	DumpDir string
 	// StopAt arms StopAtFired(StopAt) before driving — the replay path.
 	// Invariant evaluation and red-dump writing are skipped on a halted
@@ -609,7 +610,7 @@ func judgeLifecycle(r *Result, node int, lc string, kinds map[string]uint64, dum
 // includes the drain and audit phases — chaos.Replay re-runs those
 // phases, so the coordinate still lands exactly).
 func writeRedDump(spec Spec, r *Result, failDump *dump.Dump, c *dump.Collector, kv *store.Store) {
-	if !r.Red() {
+	if !r.Red() || spec.DumpDir == "" {
 		return
 	}
 	d := failDump

@@ -97,9 +97,9 @@ func (m *Matrix) JSON() []byte {
 
 // Sweep runs every row's seeds through the harness. Seeds derive from
 // seedBase, the row index and the seed index, so two sweeps with
-// different bases share no schedule. Red dumps land in dumpDir; the
-// progress callback (nil ok) gets one line per red seed — including
-// the replay command — and one per finished row.
+// different bases share no schedule. Red dumps land in dumpDir ("" =
+// none); the progress callback (nil ok) gets one line per red seed —
+// including the replay command — and one per finished row.
 func Sweep(rows []RowSpec, seedBase uint64, dumpDir string, progress func(format string, args ...any)) (*Matrix, error) {
 	say := progress
 	if say == nil {

@@ -131,7 +131,6 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 					// Reclaim the core, then re-evaluate as if freshly
 					// charged.
 					t.pending = opResult{}
-					t.wake = nil
 					t.state = tReady
 					rt.rePoll(t, o)
 					return

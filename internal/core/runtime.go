@@ -3,12 +3,15 @@
 // pi-calculus style, as in Erlang, Newsqueak and Go) executing on the
 // simulated many-core machine.
 //
-// Threads are real goroutines, but exactly one runs at a time: every
-// runtime operation (Compute, Send, Recv, Choose, Spawn, ...) hands
-// control back to the single engine goroutine, which charges virtual
-// cycles from the machine cost model and resumes threads in deterministic
-// event order. The result is a cooperatively-scheduled M:N runtime over
-// simulated cores whose entire execution is reproducible from a seed.
+// Each thread body is a coroutine (iter.Pull) driven by the engine, so
+// exactly one runs at a time and only when the engine asks: every runtime
+// operation (Compute, Send, Recv, Choose, Spawn, ...) yields an op back
+// to the engine, which charges virtual cycles from the machine cost model
+// and later resumes the body with the op's result, in deterministic event
+// order. A resume is a direct coroutine switch, not a trip through the Go
+// scheduler, and nothing in this package is shared between goroutines.
+// The result is a cooperatively-scheduled M:N runtime over simulated
+// cores whose entire execution is reproducible from a seed.
 //
 // The API mirrors the constructs of the paper's Section 3: channels are
 // first-class values (and can themselves be sent through channels), send
@@ -19,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"chanos/internal/machine"
@@ -292,8 +296,8 @@ func (rt *Runtime) Alive() int {
 	return n
 }
 
-// Shutdown kills every remaining thread so their goroutines exit. Call at
-// the end of a simulation to avoid leaking parked goroutines.
+// Shutdown kills every remaining thread so their coroutines finish. Call
+// at the end of a simulation: a suspended body holds a goroutine.
 func (rt *Runtime) Shutdown() {
 	ids := make([]int, 0, len(rt.threads))
 	for id := range rt.threads {
@@ -309,12 +313,10 @@ func (rt *Runtime) Shutdown() {
 
 func (rt *Runtime) newThread(req *spawnReq) *Thread {
 	t := &Thread{
-		rt:     rt,
-		id:     rt.nextID,
-		name:   req.name,
-		yield:  make(chan op),
-		resume: make(chan opResult),
-		links:  make(map[int]*Thread),
+		rt:    rt,
+		id:    rt.nextID,
+		name:  req.name,
+		links: make(map[int]*Thread),
 	}
 	rt.nextID++
 	t.core = rt.sched.Place(rt, req.hint)
@@ -325,17 +327,16 @@ func (rt *Runtime) newThread(req *spawnReq) *Thread {
 	rt.cores[t.core].assigned++
 	rt.stats.Spawns++
 	fn := req.fn
-	go func() {
-		r := <-t.resume
-		defer func() {
-			reason := recover()
-			t.finish(reason)
-		}()
-		if r.poison != nil {
-			panic(r.poison)
+	// The body's coroutine needs no stop: every body runs to its end,
+	// by return or by a kill's poison.
+	t.next, _ = iter.Pull(func(yield func(op) bool) {
+		t.yieldOp = yield
+		defer func() { t.finish(recover()) }()
+		if t.in.poison != nil {
+			panic(t.in.poison) // killed before it ever ran
 		}
 		fn(t)
-	}()
+	})
 	return t
 }
 
@@ -379,6 +380,7 @@ func (rt *Runtime) dispatch(cs *coreState) {
 	var t *Thread
 	for len(cs.runq) > 0 {
 		t = cs.runq[0]
+		cs.runq[0] = nil
 		cs.runq = cs.runq[1:]
 		if t.state != tDead {
 			break
@@ -434,16 +436,15 @@ func (rt *Runtime) releaseCore(t *Thread) {
 	}
 }
 
-// resumeThread hands control to t's goroutine, waits for its next
-// operation, and processes it. This is the only place user code runs.
+// resumeThread switches to t's body until its next operation, and
+// processes it. This (with killThread's unwind) is the only place user
+// code runs.
 func (rt *Runtime) resumeThread(t *Thread, res opResult) {
 	if t.state == tDead {
 		panic("core: resuming dead thread " + t.name)
 	}
 	t.state = tRunning
-	t.resume <- res
-	o := <-t.yield
-	rt.handleOp(t, o)
+	rt.handleOp(t, t.run(res))
 }
 
 // handleOp executes one runtime operation on behalf of t at the current
@@ -455,7 +456,6 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 	case opCompute:
 		_, end := rt.M.Core(t.core).Reserve(now, o.cycles)
 		t.wake = rt.Eng.At(end, func() {
-			t.wake = nil
 			// Preempt at the op boundary if others are waiting for this
 			// core: without this, a compute loop starves its run queue.
 			cs := rt.cores[t.core]
@@ -565,7 +565,7 @@ func (rt *Runtime) wakeWith(t *Thread, res opResult) {
 		return
 	}
 	t.cancelWaits()
-	t.wake = nil
+	t.wake = sim.Timer{}
 	t.pending = res
 	rt.makeReady(t)
 }

@@ -117,11 +117,13 @@ type Thread struct {
 	core int
 
 	state   tstate
-	yield   chan op
-	resume  chan opResult
+	next    func() (op, bool) // runs the body to its next op; nil once it returned
+	yieldOp func(op) bool     // the body's side of next: post an op, suspend
+	in      opResult          // result handed to the body by the current resume
+	exitErr error             // exit reason finish recorded as the body unwound
 	pending opResult
-	wake    *sim.Event // scheduled compute/sleep completion, if any
-	waits   []*waiter  // live wait-queue registrations, for cancellation
+	wake    sim.Timer // scheduled compute/sleep completion, if any
+	waits   []*waiter // live wait-queue registrations, for cancellation
 
 	links     map[int]*Thread
 	monitors  []*Chan
@@ -166,11 +168,12 @@ func (t *Thread) ExitReason() error {
 // Dead reports whether the thread has exited.
 func (t *Thread) Dead() bool { return t.state == tDead }
 
-// do posts one operation to the engine and parks until the result comes
-// back. A poison result unwinds the thread (kill, linked exit).
+// do posts one operation to the engine and suspends the body until the
+// engine resumes it with the result. A poison result unwinds the thread
+// (kill, linked exit).
 func (t *Thread) do(o op) opResult {
-	t.yield <- o
-	r := <-t.resume
+	t.yieldOp(o)
+	r := t.in
 	if r.poison != nil {
 		panic(r.poison)
 	}
@@ -217,8 +220,9 @@ func (t *Thread) Exit() { panic(exitNormal{}) }
 // threads and monitors observe it.
 func (t *Thread) Fail(reason error) { panic(reason) }
 
-// finish runs on the thread goroutine as it unwinds (normal return, Exit,
-// Fail, Kill poison, or a genuine panic) and posts the exit op.
+// finish runs in the body as it unwinds (normal return, Exit, Fail, Kill
+// poison, or a genuine panic) and records the reason; the engine posts
+// it as opExit once the body has returned.
 func (t *Thread) finish(recovered any) {
 	var reason error
 	switch v := recovered.(type) {
@@ -231,7 +235,22 @@ func (t *Thread) finish(recovered any) {
 	default:
 		reason = PanicError{Value: v}
 	}
-	t.yield <- op{kind: opExit, exit: reason}
+	t.exitErr = reason
+}
+
+// run resumes t's body with res and returns the next op it posts: the
+// op it yielded, or opExit once the body has returned.
+func (t *Thread) run(res opResult) op {
+	t.in = res
+	o, ok := t.next()
+	t.in = opResult{}
+	if !ok {
+		// Drop the finished coroutine: it still holds the last op it
+		// yielded, payload included.
+		t.next, t.yieldOp = nil, nil
+		o = op{kind: opExit, exit: t.exitErr}
+	}
+	return o
 }
 
 // Link establishes a bidirectional link with other (Erlang semantics): if
@@ -308,10 +327,7 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 	t.exitReason = reason
 	rt.cores[t.core].assigned--
 	rt.stats.Exits++
-	if t.wake != nil {
-		rt.Eng.Cancel(t.wake)
-		t.wake = nil
-	}
+	rt.Eng.Cancel(t.wake)
 	t.cancelWaits()
 	rt.releaseCore(t)
 
@@ -372,28 +388,23 @@ func (rt *Runtime) notifyExit(t *Thread, ch *Chan) {
 }
 
 // killThread forcibly unwinds a thread from the engine side. The victim's
-// goroutine is resumed with a poison result, which panics through user
-// code (running deferred cleanup is intentionally NOT modelled — this is
+// body is resumed with a poison result, which panics through user code
+// (running deferred cleanup is intentionally NOT modelled — this is
 // fail-stop) and posts opExit.
 func (rt *Runtime) killThread(t *Thread, reason error) {
 	if t.state == tDead {
 		return
 	}
 	rt.stats.Kills++
-	if t.wake != nil {
-		rt.Eng.Cancel(t.wake)
-		t.wake = nil
-	}
+	rt.Eng.Cancel(t.wake)
 	t.cancelWaits()
 	// Pull it off the core / run queue bookkeeping happens in threadExit;
-	// here we just need the goroutine to unwind. The thread may be Ready
+	// here we just need the body to unwind. The thread may be Ready
 	// (queued with a pending result) or Blocked (no queue position) or
-	// Running-but-parked (mid Compute). In every case its goroutine is
-	// parked in do(), waiting on resume.
-	t.state = tBlocked // ensure resumeThread's dead-check passes
-	t.resume <- opResult{poison: reason}
-	o := <-t.yield // the wrapper's finish() posts opExit
-	rt.handleOp(t, o)
+	// Running-but-suspended (mid Compute), or not yet started. In every
+	// case its body is suspended in do() or before its first line.
+	t.state = tBlocked
+	rt.handleOp(t, t.run(opResult{poison: reason}))
 }
 
 // cancelWaits removes the thread from every channel wait queue.

@@ -4,10 +4,17 @@
 // generator. Everything above this package (machine model, channel runtime,
 // kernel, experiments) schedules work through a single Engine, so a whole
 // 1024-core run is reproducible from one seed.
+//
+// Scheduling returns a Timer, a value handle of (event, generation).
+// Events are recycled through a free list the moment they fire or are
+// canceled, and recycling advances the event's generation. A Timer is
+// therefore live only while its generation matches: Timer.Pending
+// turns false once the event has fired or been canceled, and Cancel on
+// a stale Timer does nothing, even after its event has been reused for
+// an unrelated callback. Holders need not clear their Timers.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -15,14 +22,17 @@ import (
 // Time is virtual time in CPU cycles since boot.
 type Time = uint64
 
-// Event is a scheduled callback. Events are ordered by (When, seq): two
-// events at the same virtual time run in the order they were scheduled,
-// which is what makes runs deterministic.
-type Event struct {
-	When Time
-	fn   func()
+// event is one scheduled callback. Events are ordered by (when, seq):
+// two events at the same virtual time run in the order they were
+// scheduled, which is what makes runs deterministic. Events are pooled:
+// once fired or canceled an event goes back on the engine's free list
+// and its generation advances, which invalidates every Timer naming it.
+type event struct {
+	when Time
 	seq  uint64
-	idx  int // heap index, -1 once popped or canceled
+	fn   func()
+	gen  uint64 // bumped on release; a Timer is live while it matches
+	idx  int    // heap index while queued
 	// observer events fire normally but are invisible to the event
 	// count: Fired() does not include them and StopAtFired does not halt
 	// on them. They are for machinery that watches the machine (statd
@@ -32,15 +42,31 @@ type Event struct {
 	observer bool
 }
 
-// Canceled reports whether Cancel was called before the event fired.
-func (ev *Event) Canceled() bool { return ev.fn == nil }
+// before reports whether a runs ahead of b.
+func (a *event) before(b *event) bool {
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
+}
+
+// Timer is a handle on one scheduled event, returned by At, After,
+// ObserveAt and ObserveAfter. It is a value: copy it freely. The zero
+// Timer names no event.
+type Timer struct {
+	ev  *event
+	gen uint64
+}
+
+// Pending reports whether the timer's event is still queued: false once
+// it has fired (including while its own callback runs) or been
+// canceled, and for the zero Timer.
+func (t Timer) Pending() bool { return t.ev != nil && t.ev.gen == t.gen }
 
 // Engine is a discrete-event simulator. It is not safe for concurrent use;
 // by design exactly one goroutine (the "engine goroutine") drives it.
 type Engine struct {
 	now    Time
 	seq    uint64
-	pq     eventHeap
+	pq     []*event // 4-ary min-heap on (when, seq)
+	free   []*event // released events, reused by At
 	fired  uint64
 	halted bool
 
@@ -98,38 +124,50 @@ func (e *Engine) Pending() int { return len(e.pq) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently reorder causality, which is always a bug in callers.
-func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: nil event func")
-	}
-	ev := &Event{When: t, fn: fn, seq: e.seq}
-	e.seq++
-	heap.Push(&e.pq, ev)
-	return ev
-}
+func (e *Engine) At(t Time, fn func()) Timer { return e.schedule(t, fn, false) }
 
 // After schedules fn to run d cycles from now.
-func (e *Engine) After(d Time, fn func()) *Event {
-	return e.At(e.now+d, fn)
-}
+func (e *Engine) After(d Time, fn func()) Timer { return e.schedule(e.now+d, fn, false) }
 
 // ObserveAt schedules an observer event at absolute time t: it fires
 // like any event but does not advance Fired() and cannot trip
 // StopAtFired. Observer callbacks must not mutate simulated machine
 // state — they exist so telemetry sweeps and dump triggers leave the
 // replay coordinate system untouched.
-func (e *Engine) ObserveAt(t Time, fn func()) *Event {
-	ev := e.At(t, fn)
-	ev.observer = true
-	return ev
-}
+func (e *Engine) ObserveAt(t Time, fn func()) Timer { return e.schedule(t, fn, true) }
 
 // ObserveAfter schedules an observer event d cycles from now.
-func (e *Engine) ObserveAfter(d Time, fn func()) *Event {
-	return e.ObserveAt(e.now+d, fn)
+func (e *Engine) ObserveAfter(d Time, fn func()) Timer { return e.schedule(e.now+d, fn, true) }
+
+func (e *Engine) schedule(t Time, fn func(), observer bool) Timer {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
+	}
+	if fn == nil {
+		panic("sim: nil event func")
+	}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.when, ev.seq, ev.fn, ev.observer = t, e.seq, fn, observer
+	e.seq++
+	ev.idx = len(e.pq)
+	e.pq = append(e.pq, ev)
+	e.up(ev.idx)
+	return Timer{ev: ev, gen: ev.gen}
+}
+
+// release retires a fired or canceled event to the free list. Bumping
+// the generation first makes every outstanding Timer for it stale, so
+// the event's next use cannot be canceled through an old handle.
+func (e *Engine) release(ev *event) {
+	ev.gen++
+	ev.fn = nil
+	e.free = append(e.free, ev)
 }
 
 // AtFired schedules fn on the counted-event axis instead of the clock:
@@ -159,16 +197,14 @@ func (e *Engine) AtFired(n uint64, fn func()) {
 	e.triggers[i] = tr
 }
 
-// Cancel removes a scheduled event. Canceling an already-fired or
-// already-canceled event is a harmless no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.fn == nil {
+// Cancel removes a scheduled event. Canceling a fired, canceled or zero
+// Timer is a harmless no-op, even if its event has since been reused.
+func (e *Engine) Cancel(t Timer) {
+	if !t.Pending() {
 		return
 	}
-	ev.fn = nil
-	if ev.idx >= 0 {
-		heap.Remove(&e.pq, ev.idx)
-	}
+	e.remove(t.ev.idx)
+	e.release(t.ev)
 }
 
 // Step runs the single earliest event. It returns false if no events
@@ -182,33 +218,28 @@ func (e *Engine) Step() bool {
 		e.halted = true
 		return false
 	}
-	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*Event)
-		if ev.fn == nil {
-			continue // canceled
-		}
-		if ev.When < e.now {
-			panic("sim: event heap returned an event in the past")
-		}
-		e.now = ev.When
-		fn := ev.fn
-		ev.fn = nil
-		if !ev.observer {
-			e.fired++
-		}
+	if len(e.pq) == 0 {
+		return false
+	}
+	ev := e.remove(0)
+	e.now = ev.when
+	fn, observer := ev.fn, ev.observer
+	e.release(ev)
+	if observer {
 		fn()
-		if !ev.observer {
-			// Drain fired-count triggers: each may arm more (at strictly
-			// higher n), so re-check the head every iteration.
-			for len(e.triggers) > 0 && e.triggers[0].n <= e.fired {
-				tfn := e.triggers[0].fn
-				e.triggers = e.triggers[1:]
-				tfn()
-			}
-		}
 		return true
 	}
-	return false
+	e.fired++
+	fn()
+	// Drain fired-count triggers: each may arm more (at strictly higher
+	// n), so re-check the head every iteration.
+	for len(e.triggers) > 0 && e.triggers[0].n <= e.fired {
+		tfn := e.triggers[0].fn
+		e.triggers[0] = firedTrigger{}
+		e.triggers = e.triggers[1:]
+		tfn()
+	}
+	return true
 }
 
 // Run executes events until none remain or Halt is called.
@@ -223,11 +254,7 @@ func (e *Engine) Run() {
 // remain pending).
 func (e *Engine) RunUntil(t Time) {
 	e.halted = false
-	for !e.halted {
-		ev := e.peek()
-		if ev == nil || ev.When > t {
-			break
-		}
+	for !e.halted && len(e.pq) > 0 && e.pq[0].when <= t {
 		e.Step()
 	}
 	if e.now < t && !e.stopReached {
@@ -242,43 +269,72 @@ func (e *Engine) RunUntil(t Time) {
 // stay queued, so the simulation can be resumed.
 func (e *Engine) Halt() { e.halted = true }
 
-func (e *Engine) peek() *Event {
-	for len(e.pq) > 0 {
-		if e.pq[0].fn == nil {
-			heap.Pop(&e.pq)
-			continue
+// The queue is a 4-ary min-heap: half the depth of a binary heap, and a
+// node's four children share a cache line or two of pointers. Each event
+// keeps its index so Cancel removes it in O(log n). (when, seq) is unique
+// per event, so the pop order — and with it every run — does not depend
+// on the heap's shape.
+
+// up sifts the event at i toward the root.
+func (e *Engine) up(i int) {
+	h := e.pq
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(h[p]) {
+			break
 		}
-		return e.pq[0]
+		h[i] = h[p]
+		h[i].idx = i
+		i = p
 	}
-	return nil
+	h[i] = ev
+	ev.idx = i
 }
 
-// eventHeap is a min-heap ordered by (When, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].When != h[j].When {
-		return h[i].When < h[j].When
+// down sifts the event at i toward the leaves and reports whether it
+// moved.
+func (e *Engine) down(i int) bool {
+	h := e.pq
+	n := len(h)
+	ev := h[i]
+	i0 := i
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(ev) {
+			break
+		}
+		h[i] = h[m]
+		h[i].idx = i
+		i = m
 	}
-	return h[i].seq < h[j].seq
+	h[i] = ev
+	ev.idx = i
+	return i != i0
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
+
+// remove takes the event at heap index i out of the queue.
+func (e *Engine) remove(i int) *event {
+	n := len(e.pq) - 1
+	ev := e.pq[i]
+	last := e.pq[n]
+	e.pq[n] = nil
+	e.pq = e.pq[:n]
+	if i < n {
+		e.pq[i] = last
+		last.idx = i
+		if !e.down(i) {
+			e.up(i)
+		}
+	}
 	return ev
 }

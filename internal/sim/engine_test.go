@@ -74,15 +74,15 @@ func TestEngineCancel(t *testing.T) {
 	if ran {
 		t.Fatal("canceled event ran")
 	}
-	if !ev.Canceled() {
-		t.Fatal("event does not report canceled")
+	if ev.Pending() {
+		t.Fatal("canceled event still reports pending")
 	}
 }
 
 func TestEngineCancelOneOfMany(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	var evs []*Event
+	var evs []Timer
 	for i := 0; i < 10; i++ {
 		i := i
 		evs = append(evs, e.At(Time(i+1), func() { got = append(got, i) }))
@@ -174,6 +174,109 @@ func TestEngineMonotonicProperty(t *testing.T) {
 		return e.Now() == maxT
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A Timer is live only until its event fires or is canceled: Pending
+// turns false at either point (inside the event's own callback too, as
+// the dumps' RTO-armed flag relies on), and a stale Timer must not
+// cancel the unrelated event that later reuses its pooled slot.
+func TestEngineStaleTimer(t *testing.T) {
+	e := NewEngine()
+	var fired Timer
+	pendingInCallback := true
+	fired = e.At(1, func() { pendingInCallback = fired.Pending() })
+	e.Run()
+	if pendingInCallback || fired.Pending() {
+		t.Fatal("fired event still reports pending")
+	}
+	canceled := e.At(5, func() {})
+	if !canceled.Pending() {
+		t.Fatal("queued event does not report pending")
+	}
+	e.Cancel(canceled)
+	if canceled.Pending() {
+		t.Fatal("canceled event still reports pending")
+	}
+
+	ran := false
+	fresh := e.At(10, func() { ran = true })
+	if fresh.ev != canceled.ev {
+		t.Fatal("released event was not reused")
+	}
+	e.Cancel(canceled) // stale: must not touch fresh
+	e.Cancel(fired)
+	if !fresh.Pending() {
+		t.Fatal("stale Timer canceled the event that reused its slot")
+	}
+	e.Run()
+	if !ran {
+		t.Fatal("event reusing a stale Timer's slot did not run")
+	}
+	if (Timer{}).Pending() {
+		t.Fatal("zero Timer reports pending")
+	}
+	e.Cancel(Timer{})
+}
+
+// Scheduling and firing an event allocates nothing but the caller's
+// closure: events come from the free list.
+func TestEngineEventAllocs(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.At(e.Now()+1, func() { n++ })
+		e.Step()
+	})
+	if allocs > 1 {
+		t.Fatalf("At+Step allocates %.1f times per event, want <= 1 (the closure)", allocs)
+	}
+	if n == 0 {
+		t.Fatal("no event ran")
+	}
+}
+
+// Random interleavings of schedule and cancel against the 4-ary heap:
+// survivors fire exactly once, in (time, scheduling order).
+func TestEngineHeapCancelProperty(t *testing.T) {
+	f := func(times []uint8, cancel []bool) bool {
+		e := NewEngine()
+		type rec struct {
+			at  Time
+			ord int
+		}
+		var got []rec
+		var timers []Timer
+		live := 0
+		for i, tt := range times {
+			at, ord := Time(tt), i
+			timers = append(timers, e.At(at, func() { got = append(got, rec{at, ord}) }))
+			if i < len(cancel) && cancel[i] {
+				e.Cancel(timers[i/2])
+			}
+		}
+		for _, tm := range timers {
+			if tm.Pending() {
+				live++
+			}
+		}
+		if e.Pending() != live {
+			return false
+		}
+		e.Run()
+		if len(got) != live {
+			return false
+		}
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			if a.at > b.at || a.at == b.at && a.ord > b.ord {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
