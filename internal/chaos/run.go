@@ -4,10 +4,11 @@
 // invariants:
 //
 //	acked-loss     — zero acked-write loss: every PUT a client saw
-//	                 acknowledged reads back at >= its acked version,
-//	                 live at the serving store — or, when its shard
-//	                 fail-stopped, from the primary platters alone
-//	                 (the e16 offline-recovery audit).
+//	                 acknowledged (the store.Ledger the world's fleet
+//	                 fills) reads back at >= its acked version, live at
+//	                 the serving store (store.Audit) — or, when its
+//	                 shard fail-stopped, from the primary platters
+//	                 alone (store.AuditPlatters).
 //	client-hang    — no client hangs: the fleet never stalls out, the
 //	                 audit drains, and a fail-stopped shard holds zero
 //	                 parked work (every pending reply was nacked).
@@ -32,11 +33,9 @@ import (
 	"strings"
 
 	"chanos"
-	"chanos/internal/blockdev"
 	"chanos/internal/cluster"
 	"chanos/internal/core"
 	"chanos/internal/dump"
-	"chanos/internal/kernel"
 	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
@@ -241,26 +240,6 @@ func runKV(spec Spec, sched Schedule, r *Result) {
 	a := newArmer(plane)
 	a.arm(sched)
 
-	// The acked-write ledger: the closed loop guarantees one
-	// outstanding request per client, so the last request drawn is the
-	// one the next response answers.
-	pending := make([]store.KVRequest, filled.Clients)
-	acked := make(map[string]uint64)
-	w.TapReq = func(client int, m core.Msg) {
-		if kr, ok := m.(store.KVRequest); ok {
-			pending[client] = kr
-		}
-	}
-	w.TapResp = func(client int, m core.Msg) {
-		resp, ok := m.(store.KVResponse)
-		if !ok || !resp.OK || pending[client].Op != store.WPut {
-			return
-		}
-		if resp.Ver > acked[pending[client].Key] {
-			acked[pending[client].Key] = resp.Ver
-		}
-	}
-
 	var peakLag uint64
 	sample := func() {
 		for _, st := range w.KV.LifecycleReport() {
@@ -308,21 +287,13 @@ func runKV(spec Spec, sched Schedule, r *Result) {
 
 	// Live audit on the serving store, then the platter audit for keys
 	// whose shard fail-stopped.
-	keys := detmap.Keys(acked)
-	r.AuditKeys = len(keys)
+	acked := w.Acked
+	r.AuditKeys = len(acked)
 	var liveLost, erred []string
 	audited := false
 	if !eng.StopReached() {
 		w.Sys.Boot("chaos.audit", func(t *chanos.Thread) {
-			for _, key := range keys {
-				g := w.KV.Get(t, key)
-				switch {
-				case g.Err != "":
-					erred = append(erred, key)
-				case !g.Found || g.Ver < acked[key]:
-					liveLost = append(liveLost, key)
-				}
-			}
+			liveLost, erred = store.Audit(t, acked, func(string) *store.Store { return w.KV })
 			audited = true
 		})
 		for i := 0; i < auditSlices && !audited && !eng.StopReached(); i++ {
@@ -347,16 +318,12 @@ func runKV(spec Spec, sched Schedule, r *Result) {
 	}
 	offline := erred
 	if !audited {
-		offline = keys // the live store never answered; judge the platters
+		offline = detmap.Keys(acked) // the live store never answered; judge the platters
 	}
 	if len(offline) > 0 {
 		r.AuditOffline = len(offline)
-		want := make(map[string]uint64, len(offline))
-		for _, k := range offline {
-			want[k] = acked[k]
-		}
-		if lost := offlineAudit(w.KV, filled.Cores, spec.Seed, want); lost > 0 {
-			r.violate(InvAckedLoss, "%d acked writes missing from primary platters", lost)
+		if lost, _ := store.AuditPlatters(w.KV, subLedger(acked, offline)); len(lost) > 0 {
+			r.violate(InvAckedLoss, "%d acked writes missing from primary platters", len(lost))
 		}
 	}
 
@@ -480,24 +447,15 @@ func runCluster(spec Spec, sched Schedule, r *Result) {
 	// Live audit at each key's mapped owner (the e18 audit), then the
 	// platter audit per failed node.
 	acked := cw.Pool.AckedPuts
-	keys := detmap.Keys(acked)
-	r.AuditKeys = len(keys)
+	r.AuditKeys = len(acked)
 	fm := cl.Map(0)
-	var liveLost []string
-	erredByNode := make(map[int][]string)
+	var liveLost, erred []string
 	audited := false
 	if !eng.StopReached() {
 		cl.Nodes[0].RT.Boot("chaos.audit", func(t *core.Thread) {
-			for _, key := range keys {
-				owner := fm.NodeFor(key)
-				g := cl.Nodes[owner].KV.Get(t, key)
-				switch {
-				case g.Err != "":
-					erredByNode[owner] = append(erredByNode[owner], key)
-				case !g.Found || g.Ver < acked[key]:
-					liveLost = append(liveLost, key)
-				}
-			}
+			liveLost, erred = store.Audit(t, acked, func(key string) *store.Store {
+				return cl.Nodes[fm.NodeFor(key)].KV
+			})
 			audited = true
 		})
 		for i := 0; i < clAuditSlices && !audited && !eng.StopReached(); i++ {
@@ -525,20 +483,17 @@ func runCluster(spec Spec, sched Schedule, r *Result) {
 		r.violate(InvAckedLoss, "%d acked writes unreadable at their mapped owner (first %q)", len(liveLost), liveLost[0])
 	}
 	if !audited {
-		// The live cluster never answered: judge every owner's platters.
-		for _, key := range keys {
-			owner := fm.NodeFor(key)
-			erredByNode[owner] = append(erredByNode[owner], key)
-		}
+		erred = detmap.Keys(acked) // the live cluster never answered; judge every owner's platters
+	}
+	erredByNode := make(map[int][]string)
+	for _, key := range erred {
+		owner := fm.NodeFor(key)
+		erredByNode[owner] = append(erredByNode[owner], key)
 	}
 	for node, keys := range detmap.Sorted(erredByNode) {
 		r.AuditOffline += len(keys)
-		want := make(map[string]uint64, len(keys))
-		for _, k := range keys {
-			want[k] = acked[k]
-		}
-		if lost := offlineAudit(cl.Nodes[node].KV, filled.Cores, spec.Seed+uint64(node), want); lost > 0 {
-			r.violate(InvAckedLoss, "node %d: %d acked writes missing from primary platters", node, lost)
+		if lost, _ := store.AuditPlatters(cl.Nodes[node].KV, subLedger(acked, keys)); len(lost) > 0 {
+			r.violate(InvAckedLoss, "node %d: %d acked writes missing from primary platters", node, len(lost))
 		}
 	}
 
@@ -626,37 +581,11 @@ func writeRedDump(spec Spec, r *Result, failDump *dump.Dump, c *dump.Collector, 
 	r.ReplayCmd = dump.ReplayCommand(path)
 }
 
-// offlineAudit is the e16 recovery audit: boot a fresh world from the
-// store's platter snapshots alone (a separate engine — the main run's
-// event count never sees it), recover a store from them, and read
-// every wanted key back. Returns how many are missing or stale.
-func offlineAudit(kv *store.Store, cores int, seed uint64, want map[string]uint64) int {
-	var datas []map[int][]byte
-	for _, d := range kv.Disks() {
-		datas = append(datas, d.SnapshotData())
+// subLedger is the part of l that keys name.
+func subLedger(l store.Ledger, keys []string) store.Ledger {
+	sub := make(store.Ledger, len(keys))
+	for _, k := range keys {
+		sub[k] = l[k]
 	}
-	eng2 := sim.NewEngine()
-	m2 := machine.New(eng2, machine.DefaultParams(cores))
-	rt2 := core.NewRuntime(m2, core.Config{Seed: seed + 0xA0D17})
-	defer rt2.Shutdown()
-	k2 := kernel.New(rt2, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt2, kv.P.Disk, data))
-	}
-	kv2 := store.New(rt2, k2, kv.P, disks)
-	lost := 0
-	rt2.Boot("chaos.offline-audit", func(t *core.Thread) {
-		// Sorted key order: the audit's Gets consume (their own
-		// engine's) events, and determinism discipline is habit, not
-		// optional.
-		for key, ver := range detmap.Sorted(want) {
-			g := kv2.Get(t, key)
-			if !g.Found || g.Ver < ver {
-				lost++
-			}
-		}
-	})
-	rt2.Run()
-	return lost
+	return sub
 }

@@ -2,28 +2,14 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
-	"chanos/internal/kernel"
-	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
+	"chanos/internal/sim/detmap"
 	"chanos/internal/store"
 )
-
-// sortedKeys: audits iterate the acked ledger on a live engine, so the
-// order must be deterministic, never raw map order.
-func sortedKeys(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 func testKeys(n int) []string {
 	keys := make([]string, n)
@@ -92,35 +78,6 @@ func prefill(t *testing.T, c *Cluster, keys []string, val []byte) {
 	if done < len(c.Nodes) {
 		t.Fatal("prefill never finished")
 	}
-}
-
-// auditStore boots a throwaway store from platter snapshots and checks
-// every acked write survived at >= its acknowledged version.
-func auditStore(t *testing.T, p store.Params, dp blockdev.DiskParams, datas []map[int][]byte,
-	acked map[string]uint64) (survived, lost int) {
-	t.Helper()
-	eng := sim.NewEngine()
-	m := machine.New(eng, machine.DefaultParams(8))
-	rt := core.NewRuntime(m, core.Config{Seed: 1})
-	defer rt.Shutdown()
-	k := kernel.New(rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt, dp, data))
-	}
-	kv := store.New(rt, k, p, disks)
-	rt.Boot("auditor", func(th *core.Thread) {
-		for key, ver := range acked {
-			g := kv.Get(th, key)
-			if g.Found && g.Ver >= ver {
-				survived++
-			} else {
-				lost++
-			}
-		}
-	})
-	rt.Run()
-	return survived, lost
 }
 
 // TestClusterRoutingAndQuorum: requests reach their owners through the
@@ -257,18 +214,11 @@ func TestMigrationMovesRangeUnderLoad(t *testing.T) {
 	}
 	fm := c.Nodes[0].smap
 	audited := false
-	lost := 0
-	// Sorted order: the audit's Gets consume engine events while the
-	// fleet is live, and map order would make the run nondeterministic.
+	var lost, erred []string
 	c.Nodes[0].RT.Boot("audit", func(th *core.Thread) {
-		for _, key := range sortedKeys(pool.AckedPuts) {
-			ver := pool.AckedPuts[key]
-			g := c.Nodes[fm.NodeFor(key)].KV.Get(th, key)
-			if !g.Found || g.Ver < ver {
-				lost++
-				t.Errorf("acked %s@%d not at its owner: %+v", key, ver, g)
-			}
-		}
+		lost, erred = store.Audit(th, pool.AckedPuts, func(key string) *store.Store {
+			return c.Nodes[fm.NodeFor(key)].KV
+		})
 		audited = true
 	})
 	for step := 0; step < 400 && !audited; step++ {
@@ -277,8 +227,8 @@ func TestMigrationMovesRangeUnderLoad(t *testing.T) {
 	if !audited {
 		t.Fatal("audit never finished")
 	}
-	if lost != 0 {
-		t.Fatalf("%d acked writes lost across the migration", lost)
+	if len(lost)+len(erred) != 0 {
+		t.Fatalf("acked writes not at their owner across the migration: lost %v, erred %v", lost, erred)
 	}
 }
 
@@ -307,20 +257,16 @@ func TestMigrationKillSourceMidStream(t *testing.T) {
 		t.Fatal("migration finished before the kill; grow the keyspace")
 	}
 
-	// The kill: snapshot the source's replica platters (the survivors),
-	// then destroy the source machine.
-	p := src.KV.P
-	var datas []map[int][]byte
-	for _, d := range src.Repls[0].KV.Disks() {
-		datas = append(datas, d.SnapshotData())
-	}
-	acked := make(map[string]uint64)
+	// The kill: judge the range's acked writes against the source's
+	// replica platters (the survivors), then destroy the source machine.
+	acked := store.Ledger{}
 	start, end := c.Nodes[0].smap.Range(1)
 	for key, ver := range pool.AckedPuts {
 		if key >= start && key < end {
 			acked[key] = ver
 		}
 	}
+	lost, _ := store.AuditPlatters(src.Repls[0].KV, acked)
 	src.RT.Shutdown()
 
 	// The cluster must keep running: other ranges serve, clients of the
@@ -338,11 +284,10 @@ func TestMigrationKillSourceMidStream(t *testing.T) {
 		t.Error("no client ever failed against the dead node — kill not observed")
 	}
 
-	survived, lost := auditStore(t, p, p.Disk, datas, acked)
-	if lost != 0 {
-		t.Fatalf("source kill mid-migration lost %d acked writes (%d survived)", lost, survived)
+	if len(lost) != 0 {
+		t.Fatalf("source kill mid-migration lost %d of %d acked writes: %v", len(lost), len(acked), lost)
 	}
-	if survived == 0 {
+	if len(acked) == 0 {
 		t.Fatal("audit checked nothing — no acked writes in the migrating range")
 	}
 }
@@ -397,7 +342,7 @@ func TestMigrationKillDestBeforeFlip(t *testing.T) {
 	lost := 0
 	start, end := src.smap.Range(1)
 	src.RT.Boot("audit", func(th *core.Thread) {
-		for _, key := range sortedKeys(pool.AckedPuts) {
+		for _, key := range detmap.Keys(pool.AckedPuts) {
 			if key < start || (end != "" && key >= end) {
 				continue
 			}

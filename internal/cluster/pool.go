@@ -45,9 +45,9 @@ type Pool struct {
 	Errs      uint64 // responses carrying a store error
 
 	// AckedPuts is the audit ledger: key → highest version any client
-	// saw acknowledged. A write in this map must survive any single
-	// machine loss the cluster claims to tolerate.
-	AckedPuts map[string]uint64
+	// saw acknowledged. A write in it must survive any single machine
+	// loss the cluster claims to tolerate.
+	AckedPuts store.Ledger
 
 	smap    *ShardMap // the fleet's shared cached map
 	val     []byte
@@ -76,7 +76,7 @@ func (c *Cluster) NewPool(p PoolParams) *Pool {
 	if p.ValBytes <= 0 {
 		p.ValBytes = 128
 	}
-	pl := &Pool{c: c, p: p, AckedPuts: make(map[string]uint64),
+	pl := &Pool{c: c, p: p, AckedPuts: store.Ledger{},
 		smap: c.Nodes[0].smap.Clone(), val: make([]byte, p.ValBytes)}
 	for i := range pl.val {
 		pl.val[i] = byte('a' + i%26)
@@ -147,9 +147,7 @@ func (pl *Pool) attempt(req store.KVRequest, node int, budget int, rng *sim.RNG)
 				pl.Errs++
 			} else {
 				pl.Ops++
-				if req.Op == store.WPut && resp.OK && resp.Ver > pl.AckedPuts[req.Key] {
-					pl.AckedPuts[req.Key] = resp.Ver
-				}
+				pl.AckedPuts.Observe(req, payload)
 			}
 			pl.c.Eng.After(pl.think(rng), func() { pl.step(rng) })
 		},

@@ -76,8 +76,8 @@ type World struct {
 
 	// TapReq/TapResp, when set before Run, observe every request the
 	// main pool draws and every response it receives (engine context,
-	// same instants either way — pure observation). The chaos harness
-	// builds its acked-write ledger here.
+	// same instants either way — pure observation), for per-request
+	// tracing. Acked-write tracking needs neither: read Acked.
 	TapReq  func(client int, m core.Msg)
 	TapResp func(client int, m core.Msg)
 
@@ -86,6 +86,10 @@ type World struct {
 	// from here.
 	Pool  *net.ClientPool
 	RPool *net.ClientPool
+	// Acked is the main fleet's acked-write ledger, filled as Run's
+	// responses arrive — what store.Audit and store.AuditPlatters judge
+	// the world against, like ClusterWorld.Pool.AckedPuts.
+	Acked store.Ledger
 
 	seed uint64
 	cfg  Config
@@ -224,7 +228,7 @@ func (w *World) Run() *Report {
 			ThinkCycles: 2000,
 			Seed:        w.seed + 5,
 			MakeReq:     rwl.MakeReq,
-			OnResp: func(client, req int, payload core.Msg) {
+			OnResp: func(_ int, _, payload core.Msg) {
 				if resp, ok := payload.(store.KVResponse); ok {
 					if resp.OK {
 						r.ReplicaGets++
@@ -245,6 +249,7 @@ func (w *World) Run() *Report {
 			return m, n
 		}
 	}
+	w.Acked = store.Ledger{}
 	pool := net.NewClientPool(w.NW, net.ClientParams{
 		Port:        6379,
 		Clients:     w.cfg.Clients,
@@ -252,10 +257,11 @@ func (w *World) Run() *Report {
 		ThinkCycles: 2000,
 		Seed:        w.seed,
 		MakeReq:     makeReq,
-		OnResp: func(client, req int, payload core.Msg) {
+		OnResp: func(client int, req, payload core.Msg) {
 			if w.TapResp != nil {
 				w.TapResp(client, payload)
 			}
+			w.Acked.Observe(req, payload)
 			resp, ok := payload.(store.KVResponse)
 			if !ok || resp.Err != "" {
 				r.Errs++

@@ -3,13 +3,11 @@ package exp
 import (
 	"fmt"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
 	"chanos/internal/kernel"
 	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
-	"chanos/internal/sim/detmap"
 	"chanos/internal/stats"
 	"chanos/internal/store"
 )
@@ -70,7 +68,7 @@ func e16Boot(cores, shards, clients, readPct int, seed uint64, quorum bool) *e16
 			Store: store.Params{Shards: shards, CacheBlocks: 16},
 			Wire:  rwp,
 		}, nil)
-		kv.ReplicateTo(ew.rm)
+		kv.AttachReplica(ew.rm)
 	}
 	l := stk.Listen(e16Port)
 	w.rt.Boot("accept", func(t *core.Thread) {
@@ -153,15 +151,7 @@ func e16Kill(o Options, seed uint64, killAt sim.Time) e16KillResult {
 		readPct = 50
 	)
 	ew := e16Boot(cores, shards, clients, readPct, seed, true)
-	// Track acknowledged PUTs: the closed loop guarantees a client's
-	// response is observed before its next request is drawn, so the last
-	// request drawn per client is the one each response answers.
-	type lastReq struct {
-		op  store.WireOp
-		key string
-	}
-	last := make([]lastReq, clients)
-	acked := make(map[string]uint64)
+	acked := store.Ledger{}
 	var ackedPuts uint64
 	net.NewClientPool(ew.nw, net.ClientParams{
 		Port:        e16Port,
@@ -169,20 +159,10 @@ func e16Kill(o Options, seed uint64, killAt sim.Time) e16KillResult {
 		ReqsPerConn: 8,
 		ThinkCycles: 2000,
 		Seed:        seed,
-		MakeReq: func(c, r int) (core.Msg, int) {
-			payload, bytes := ew.wl.MakeReq(c, r)
-			kr := payload.(store.KVRequest)
-			last[c] = lastReq{op: kr.Op, key: kr.Key}
-			return payload, bytes
-		},
-		OnResp: func(c, r int, payload core.Msg) {
-			resp, ok := payload.(store.KVResponse)
-			if !ok || !resp.OK || last[c].op != store.WPut {
-				return
-			}
-			ackedPuts++
-			if resp.Ver > acked[last[c].key] {
-				acked[last[c].key] = resp.Ver
+		MakeReq:     ew.wl.MakeReq,
+		OnResp: func(_ int, req, resp core.Msg) {
+			if acked.Observe(req, resp) {
+				ackedPuts++
 			}
 		},
 	})
@@ -190,40 +170,12 @@ func e16Kill(o Options, seed uint64, killAt sim.Time) e16KillResult {
 	ew.w.rt.RunFor(killAt)
 
 	// The primary machine is gone. Nothing of it survives — the audit
-	// world is built from the REPLICA's platters alone.
-	var datas []map[int][]byte
-	for _, d := range ew.rm.KV.Disks() {
-		datas = append(datas, d.SnapshotData())
-	}
-	replicaParams := ew.rm.KV.P
+	// store recovers from the REPLICA's platters alone.
 	killMs := ew.w.m.Seconds(ew.w.eng.Now()-killBase) * 1e3
+	lost, replayed := store.AuditPlatters(ew.rm.KV, acked)
 	ew.close()
-
-	w2 := newWorld(cores, seed+9, core.Config{})
-	defer w2.close()
-	k2 := kernel.New(w2.rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(w2.rt, replicaParams.Disk, data))
-	}
-	kv2 := store.New(w2.rt, k2, replicaParams, disks)
-	res := e16KillResult{killAtMs: killMs, ackedPuts: ackedPuts, tracked: len(acked)}
-	w2.rt.Boot("auditor", func(t *core.Thread) {
-		// The audit's Gets consume engine events: issue them in sorted
-		// key order, never raw map order, or same-seed runs diverge
-		// from here on (the PR 8 audit bug class).
-		for key, ver := range detmap.Sorted(acked) {
-			g := kv2.Get(t, key)
-			if g.Found && g.Ver >= ver {
-				res.survived++
-			} else {
-				res.lost++
-			}
-		}
-	})
-	w2.rt.Run()
-	res.replayed = kv2.Counters().Replayed
-	return res
+	return e16KillResult{killAtMs: killMs, ackedPuts: ackedPuts, tracked: len(acked),
+		survived: len(acked) - len(lost), lost: len(lost), replayed: replayed}
 }
 
 func e16Repl(o Options) []*stats.Table {

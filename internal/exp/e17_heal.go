@@ -1,17 +1,14 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
 	"chanos/internal/dump"
 	"chanos/internal/kernel"
 	"chanos/internal/machine"
 	"chanos/internal/net"
 	"chanos/internal/sim"
-	"chanos/internal/sim/detmap"
 	"chanos/internal/stats"
 	"chanos/internal/store"
 	"chanos/internal/telemetry"
@@ -57,14 +54,7 @@ func e17Boot(cores, shards, clients, readPct int, seed uint64, datas []map[int][
 	nw := net.NewNetwork(w.eng, nic, wp)
 	stk := net.NewStack(w.rt, k, nic, net.StackParams{})
 	p := store.Params{Shards: shards, CacheBlocks: 16}
-	var disks []*blockdev.Disk
-	if datas != nil {
-		dp := e17DiskParams(p)
-		for _, data := range datas {
-			disks = append(disks, blockdev.NewDiskFrom(w.rt, dp, data))
-		}
-	}
-	kv := store.New(w.rt, k, p, disks)
+	kv := store.NewFrom(w.rt, k, p, datas)
 	sd := telemetry.NewStatd(w.eng)
 	sd.Register("store", kv)
 	sd.Register("net", stk)
@@ -107,46 +97,6 @@ func (ew *e17World) collector(seed uint64) *dump.Collector {
 	return c
 }
 
-// scrape issues one live STATS request over the wire — a fresh endpoint
-// dials the serving port, sends WStats, and parses the snapshot JSON out
-// of the response — exactly what an external monitoring agent would do,
-// while the machine keeps serving (and, mid-cycle, healing) underneath.
-// Returns nil if the scrape did not complete within the drive window.
-func (ew *e17World) scrape() *telemetry.Snapshot {
-	var snap *telemetry.Snapshot
-	done := false
-	ew.nw.Dial(e17Port, net.EndpointHooks{
-		OnOpen: func(ep *net.Endpoint) {
-			req := store.KVRequest{Op: store.WStats, Seq: 1}
-			ep.Send(req, req.WireBytes())
-		},
-		OnMessage: func(ep *net.Endpoint, payload core.Msg, bytes int) {
-			if resp, ok := payload.(store.KVResponse); ok && resp.OK {
-				var s telemetry.Snapshot
-				if json.Unmarshal(resp.Val, &s) == nil {
-					snap = &s
-				}
-			}
-			done = true
-			ep.Close()
-		},
-		OnFail: func(*net.Endpoint) { done = true },
-	})
-	for i := 0; i < 400 && !done; i++ {
-		ew.w.rt.RunFor(25_000)
-	}
-	return snap
-}
-
-// e17DiskParams resolves the per-shard disk model the store would boot
-// fresh devices with, so recovered devices match.
-func e17DiskParams(p store.Params) blockdev.DiskParams {
-	w := newWorld(4, 1, core.Config{})
-	defer w.close()
-	k := kernel.New(w.rt, kernel.Config{})
-	return store.New(w.rt, k, p, nil).P.Disk
-}
-
 // prefill seeds the keyspace (fresh boots only).
 func (ew *e17World) prefill() {
 	filled := false
@@ -179,34 +129,19 @@ func (ew *e17World) close() {
 }
 
 // e17Pool starts the client fleet, tracking every PUT the fleet saw
-// acknowledged into acked (key → highest acked version) — the audit set
-// the kill at the end of the cycle is judged against.
-func (ew *e17World) e17Pool(acked map[string]uint64, ackedPuts *uint64) *net.ClientPool {
-	type lastReq struct {
-		op  store.WireOp
-		key string
-	}
-	last := make([]lastReq, ew.clients)
+// acknowledged into acked — the audit set the kill at the end of the
+// cycle is judged against.
+func (ew *e17World) e17Pool(acked store.Ledger, ackedPuts *uint64) *net.ClientPool {
 	return net.NewClientPool(ew.nw, net.ClientParams{
 		Port:        e17Port,
 		Clients:     ew.clients,
 		ReqsPerConn: 8,
 		ThinkCycles: 2000,
 		Seed:        ew.seed,
-		MakeReq: func(c, r int) (core.Msg, int) {
-			payload, bytes := ew.wl.MakeReq(c, r)
-			kr := payload.(store.KVRequest)
-			last[c] = lastReq{op: kr.Op, key: kr.Key}
-			return payload, bytes
-		},
-		OnResp: func(c, r int, payload core.Msg) {
-			resp, ok := payload.(store.KVResponse)
-			if !ok || !resp.OK || last[c].op != store.WPut {
-				return
-			}
-			*ackedPuts++
-			if resp.Ver > acked[last[c].key] {
-				acked[last[c].key] = resp.Ver
+		MakeReq:     ew.wl.MakeReq,
+		OnResp: func(_ int, req, resp core.Msg) {
+			if acked.Observe(req, resp) {
+				*ackedPuts++
 			}
 		},
 	})
@@ -246,16 +181,14 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 		clients = 64
 		readPct = 50
 	)
-	acked := make(map[string]uint64)
+	acked := store.Ledger{}
 	var ackedPuts uint64
 	var datas []map[int][]byte
 	var out []e17Cycle
-	var p store.Params
 
 	for c := 0; c < cycles; c++ {
 		seed := o.seed() + uint64(c)*101
 		ew := e17Boot(cores, shards, clients, readPct, seed, datas)
-		p = ew.kv.P
 		cy := e17Cycle{attach: "runtime"}
 		if c == 0 {
 			cy.attach = "boot"
@@ -273,7 +206,7 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 		// Scrape the serving machine over the wire while it heals: the
 		// snapshot must come back consistent (conservation laws hold) even
 		// though the bootstrap stream is rewriting shard state underneath.
-		if snap := ew.scrape(); snap != nil {
+		if snap := scrapeStats(ew.nw, e17Port, ew.w.rt.RunFor); snap != nil {
 			cy.scraped = true
 			cy.scrapeSeq = snap.Seq
 			cy.scrapeSvcs = len(snap.Services)
@@ -305,45 +238,19 @@ func e17HealCycles(o Options, cycles int, window sim.Time) []e17Cycle {
 		cy.tracked = len(acked)
 
 		// The kill: the primary machine is destroyed; only the replica's
-		// platters survive into the next cycle.
+		// platters survive into the next cycle. Audit them against
+		// everything ever acked.
 		datas = nil
 		for _, d := range ew.rm.KV.Disks() {
 			datas = append(datas, d.SnapshotData())
 		}
+		lost, _ := store.AuditPlatters(ew.rm.KV, acked)
 		ew.close()
-
-		// Audit the survivors against everything ever acked.
-		cy.survived, cy.lost = e17Audit(cores, o.seed()+uint64(c)*7+1, p, datas, acked)
+		cy.lost = len(lost)
+		cy.survived = cy.tracked - cy.lost
 		out = append(out, cy)
 	}
 	return out
-}
-
-// e17Audit boots a throwaway store from the platter snapshots and
-// checks every acked PUT recovered at >= its acknowledged version.
-func e17Audit(cores int, seed uint64, p store.Params, datas []map[int][]byte, acked map[string]uint64) (survived, lost int) {
-	w := newWorld(cores, seed, core.Config{})
-	defer w.close()
-	k := kernel.New(w.rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(w.rt, p.Disk, data))
-	}
-	kv := store.New(w.rt, k, p, disks)
-	w.rt.Boot("auditor", func(t *core.Thread) {
-		// Sorted order: the audit's Gets consume engine events, and raw
-		// map order would perturb same-seed replay (PR 8's bug class).
-		for key, ver := range detmap.Sorted(acked) {
-			g := kv.Get(t, key)
-			if g.Found && g.Ver >= ver {
-				survived++
-			} else {
-				lost++
-			}
-		}
-	})
-	w.rt.Run()
-	return survived, lost
 }
 
 // e17ReadResult is one read-routing mode of the scaling sweep.
@@ -373,20 +280,15 @@ func e17Reads(o Options, clients int, window sim.Time, replicaReads bool) e17Rea
 
 	// Primary fleet: the mixed workload, GET responses counted.
 	var getsP uint64
-	lastGet := make([]bool, clients)
 	pool := net.NewClientPool(ew.nw, net.ClientParams{
 		Port:        e17Port,
 		Clients:     clients,
 		ReqsPerConn: 8,
 		ThinkCycles: 2000,
 		Seed:        seed,
-		MakeReq: func(c, r int) (core.Msg, int) {
-			payload, bytes := ew.wl.MakeReq(c, r)
-			lastGet[c] = payload.(store.KVRequest).Op == store.WGet
-			return payload, bytes
-		},
-		OnResp: func(c, r int, payload core.Msg) {
-			if resp, ok := payload.(store.KVResponse); ok && resp.OK && lastGet[c] {
+		MakeReq:     ew.wl.MakeReq,
+		OnResp: func(_ int, req, payload core.Msg) {
+			if resp, ok := payload.(store.KVResponse); ok && resp.OK && req.(store.KVRequest).Op == store.WGet {
 				getsP++
 			}
 		},
@@ -405,7 +307,7 @@ func e17Reads(o Options, clients int, window sim.Time, replicaReads bool) e17Rea
 			ThinkCycles: 2000,
 			Seed:        seed + 5,
 			MakeReq:     rwl.MakeReq,
-			OnResp: func(c, r int, payload core.Msg) {
+			OnResp: func(_ int, _, payload core.Msg) {
 				if resp, ok := payload.(store.KVResponse); ok && resp.OK {
 					getsR++
 				}

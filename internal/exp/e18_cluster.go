@@ -10,7 +10,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -18,10 +17,8 @@ import (
 	"chanos/internal/core"
 	"chanos/internal/net"
 	"chanos/internal/sim"
-	"chanos/internal/sim/detmap"
 	"chanos/internal/stats"
 	"chanos/internal/store"
-	"chanos/internal/telemetry"
 )
 
 func init() {
@@ -58,37 +55,13 @@ func e18Cluster(o Options) []*stats.Table {
 		clients = 12
 		window = 3_000_000
 	}
-	keys := make([]string, numKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key/%05d", i)
-	}
+	keys := e18Keys(numKeys)
 	seed := o.seed()
 
 	// One cluster lives through all three phases: 3 serving nodes, each
 	// with 2 replica machines — 9 machines on one engine, one clock.
-	eng := sim.NewEngine()
-	c := cluster.New(eng, cluster.Params{
-		Nodes:  e18Nodes,
-		Splits: []string{keys[numKeys/3], keys[2*numKeys/3]},
-		RF:     e18RF,
-		Cores:  8,
-		Seed:   seed,
-		Store:  store.Params{Shards: 2, CacheBlocks: 16, FlushCycles: 20_000},
-		Wire:   net.DefaultWireParams(),
-	})
+	c := e18Boot(e18Nodes, keys, seed)
 	defer c.Shutdown()
-	for step := 0; step < 2000; step++ {
-		c.RunFor(100_000)
-		ready := true
-		for _, n := range c.Nodes {
-			if !n.KV.ReplCaughtUp() {
-				ready = false
-			}
-		}
-		if ready {
-			break
-		}
-	}
 
 	pool := c.NewPool(cluster.PoolParams{Clients: clients, Keys: keys, ReadPct: 30,
 		ValBytes: e18ValBytes, ThinkCycles: 4000, Seed: seed + 3})
@@ -152,7 +125,8 @@ func e18Cluster(o Options) []*stats.Table {
 	// A live STATS scrape of the migration destination closes the loop:
 	// the telemetry plane speaks wire like everything else, one level up
 	// or not.
-	if snap := e18Scrape(c, 2); snap != nil {
+	dst := c.Nodes[2]
+	if snap := scrapeStats(dst.NW, dst.Port, c.RunFor); snap != nil {
 		o.publishSnapshot(snap)
 	}
 
@@ -200,36 +174,8 @@ func e18Scaling(o Options, seed uint64) *stats.Table {
 	st := stats.NewTable("E18c / fabric scaling: the same service at N serving nodes",
 		"nodes", "machines", "clients", "ops", "ops/sec", "moved", "lost", "errs", "audit keys", "audit lost")
 	for _, nodes := range []int{3, 5, 7} {
-		keys := make([]string, numKeys)
-		for i := range keys {
-			keys[i] = fmt.Sprintf("key/%05d", i)
-		}
-		splits := make([]string, 0, nodes-1)
-		for i := 1; i < nodes; i++ {
-			splits = append(splits, keys[numKeys*i/nodes])
-		}
-		eng := sim.NewEngine()
-		c := cluster.New(eng, cluster.Params{
-			Nodes:  nodes,
-			Splits: splits,
-			RF:     e18RF,
-			Cores:  8,
-			Seed:   seed + uint64(nodes),
-			Store:  store.Params{Shards: 2, CacheBlocks: 16, FlushCycles: 20_000},
-			Wire:   net.DefaultWireParams(),
-		})
-		for step := 0; step < 2000; step++ {
-			c.RunFor(100_000)
-			ready := true
-			for _, n := range c.Nodes {
-				if !n.KV.ReplCaughtUp() {
-					ready = false
-				}
-			}
-			if ready {
-				break
-			}
-		}
+		keys := e18Keys(numKeys)
+		c := e18Boot(nodes, keys, seed+uint64(nodes))
 		clients := 6 * nodes
 		pool := c.NewPool(cluster.PoolParams{Clients: clients, Keys: keys, ReadPct: 30,
 			ValBytes: e18ValBytes, ThinkCycles: 4000, Seed: seed + 3})
@@ -245,6 +191,47 @@ func e18Scaling(o Options, seed uint64) *stats.Table {
 	}
 	st.Note("clients scale with the fabric (6 per node); contract: lost, errs and audit lost are 0 on every row")
 	return st
+}
+
+// e18Keys is the fabric's keyspace: n keys in sorted order.
+func e18Keys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key/%05d", i)
+	}
+	return keys
+}
+
+// e18Boot builds a fabric of nodes serving nodes, each with e18RF
+// replica machines, the keyspace split evenly between them, and drives
+// it until every node's replicas have caught up (bounded).
+func e18Boot(nodes int, keys []string, seed uint64) *cluster.Cluster {
+	splits := make([]string, 0, nodes-1)
+	for i := 1; i < nodes; i++ {
+		splits = append(splits, keys[len(keys)*i/nodes])
+	}
+	c := cluster.New(sim.NewEngine(), cluster.Params{
+		Nodes:  nodes,
+		Splits: splits,
+		RF:     e18RF,
+		Cores:  8,
+		Seed:   seed,
+		Store:  store.Params{Shards: 2, CacheBlocks: 16, FlushCycles: 20_000},
+		Wire:   net.DefaultWireParams(),
+	})
+	for step := 0; step < 2000; step++ {
+		c.RunFor(100_000)
+		ready := true
+		for _, n := range c.Nodes {
+			if !n.KV.ReplCaughtUp() {
+				ready = false
+			}
+		}
+		if ready {
+			break
+		}
+	}
+	return c
 }
 
 // e18Replicas renders a store's per-slot attachment states compactly
@@ -264,54 +251,24 @@ func e18Replicas(kv *store.Store) string {
 // e18Audit reads every acked PUT back from the node the current map
 // assigns it to, below the wire (audit-only: the fleet's ledger is the
 // ground truth, the read is instantaneous bookkeeping on live state).
+// An audit that has not finished within its drive budget vouches for
+// no key: every key it was to read counts as lost.
 func e18Audit(c *cluster.Cluster, pool *cluster.Pool) (keys, lost int) {
 	fm := c.Map(0)
-	// The audit's Gets consume engine events while the fleet is still
-	// live, so they must issue in a deterministic order — never raw map
-	// order, or the whole run diverges from here on.
-	acked := detmap.Keys(pool.AckedPuts)
+	keys = len(pool.AckedPuts)
 	audited := false
 	c.Nodes[0].RT.Boot("e18.audit", func(t *core.Thread) {
-		for _, key := range acked {
-			keys++
-			g := c.Nodes[fm.NodeFor(key)].KV.Get(t, key)
-			if !g.Found || g.Ver < pool.AckedPuts[key] {
-				lost++
-			}
-		}
-		audited = true
+		keys = len(pool.AckedPuts)
+		l, e := store.Audit(t, pool.AckedPuts, func(key string) *store.Store {
+			return c.Nodes[fm.NodeFor(key)].KV
+		})
+		lost, audited = len(l)+len(e), true
 	})
 	for step := 0; step < 2000 && !audited; step++ {
 		c.RunFor(100_000)
 	}
-	return keys, lost
-}
-
-// e18Scrape issues one live STATS request against node id over the
-// wire — what a monitoring agent watching the cluster would do.
-func e18Scrape(c *cluster.Cluster, id int) *telemetry.Snapshot {
-	var snap *telemetry.Snapshot
-	done := false
-	n := c.Nodes[id]
-	n.NW.Dial(n.Port, net.EndpointHooks{
-		OnOpen: func(ep *net.Endpoint) {
-			req := store.KVRequest{Op: store.WStats, Seq: 1}
-			ep.Send(req, req.WireBytes())
-		},
-		OnMessage: func(ep *net.Endpoint, payload core.Msg, _ int) {
-			if resp, ok := payload.(store.KVResponse); ok && resp.OK {
-				var s telemetry.Snapshot
-				if json.Unmarshal(resp.Val, &s) == nil {
-					snap = &s
-				}
-			}
-			done = true
-			ep.Close()
-		},
-		OnFail: func(*net.Endpoint) { done = true },
-	})
-	for i := 0; i < 400 && !done; i++ {
-		c.RunFor(25_000)
+	if !audited {
+		return keys, keys
 	}
-	return snap
+	return keys, lost
 }

@@ -10,6 +10,7 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -17,8 +18,10 @@ import (
 	"chanos/internal/core"
 	"chanos/internal/dump"
 	"chanos/internal/machine"
+	"chanos/internal/net"
 	"chanos/internal/sim"
 	"chanos/internal/stats"
+	"chanos/internal/store"
 	"chanos/internal/telemetry"
 )
 
@@ -60,6 +63,38 @@ func (o Options) publishSnapshot(s *telemetry.Snapshot) {
 	if o.SnapshotSink != nil && s != nil {
 		o.SnapshotSink(s)
 	}
+}
+
+// scrapeStats issues one live STATS request over the wire — a fresh
+// endpoint dials port, sends WStats, and parses the snapshot JSON out
+// of the response — exactly what an external monitoring agent would
+// do, while the machine keeps serving underneath. runFor drives the
+// simulation; the scrape gets 400 slices of 25,000 cycles. Returns nil
+// if it did not complete in that window.
+func scrapeStats(nw *net.Network, port int, runFor func(sim.Time)) *telemetry.Snapshot {
+	var snap *telemetry.Snapshot
+	done := false
+	nw.Dial(port, net.EndpointHooks{
+		OnOpen: func(ep *net.Endpoint) {
+			req := store.KVRequest{Op: store.WStats, Seq: 1}
+			ep.Send(req, req.WireBytes())
+		},
+		OnMessage: func(ep *net.Endpoint, payload core.Msg, _ int) {
+			if resp, ok := payload.(store.KVResponse); ok && resp.OK {
+				var s telemetry.Snapshot
+				if json.Unmarshal(resp.Val, &s) == nil {
+					snap = &s
+				}
+			}
+			done = true
+			ep.Close()
+		},
+		OnFail: func(*net.Endpoint) { done = true },
+	})
+	for i := 0; i < 400 && !done; i++ {
+		runFor(25_000)
+	}
+	return snap
 }
 
 func (o Options) seed() uint64 {

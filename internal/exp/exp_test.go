@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chanos/internal/baseline"
+	"chanos/internal/cluster"
 	"chanos/internal/sim"
 	"chanos/internal/vm"
 )
@@ -374,6 +375,26 @@ func TestE18ClusterContract(t *testing.T) {
 				t.Error("migration did not advance the map version")
 			}
 		}
+	}
+}
+
+// TestE18AuditFailsClosed: an audit that cannot finish inside its
+// drive budget vouches for nothing — every key counts as lost, never a
+// clean count over the keys it happened to reach.
+func TestE18AuditFailsClosed(t *testing.T) {
+	keys := e18Keys(120)
+	c := e18Boot(e18Nodes, keys, 42)
+	defer c.Shutdown()
+	pool := c.NewPool(cluster.PoolParams{Clients: 12, Keys: keys, ReadPct: 30,
+		ValBytes: e18ValBytes, ThinkCycles: 4000, Seed: 45})
+	c.RunFor(3_000_000)
+	if n, lost := e18Audit(c, pool); n == 0 || lost != 0 {
+		t.Fatalf("drained audit: %d keys, %d lost; want some keys, none lost", n, lost)
+	}
+	// Node 2's store stops answering: the audit stalls at its first key.
+	c.Nodes[2].RT.Shutdown()
+	if n, lost := e18Audit(c, pool); n == 0 || lost != n {
+		t.Fatalf("undrained audit: %d keys, %d lost; want every key lost", n, lost)
 	}
 }
 

@@ -21,9 +21,10 @@ type ClientParams struct {
 	// MakeReq builds request payloads; nil sends the request index with
 	// a 128-byte wire size.
 	MakeReq func(client, req int) (payload core.Msg, bytes int)
-	// OnResp, if set, observes each response payload (engine context) —
-	// for workloads that check what came back, not just that it came.
-	OnResp func(client, req int, payload core.Msg)
+	// OnResp, if set, observes each response (engine context) together
+	// with the request payload it answers — for workloads that check what
+	// came back, not just that it came.
+	OnResp func(client int, req, resp core.Msg)
 	Seed   uint64
 }
 
@@ -91,42 +92,47 @@ func (cp *ClientPool) dial(i int, rng *sim.RNG) {
 	if cp.stopped {
 		return
 	}
-	var sent int
-	var t0 sim.Time
-	finished := false // exactly one of OnClose/OnFail continues the loop
+	// The connection's state, shared by its hooks: one allocation.
+	var c struct {
+		sent     int
+		req      core.Msg // the request in flight; the next response answers it
+		t0       sim.Time
+		finished bool // exactly one of OnClose/OnFail continues the loop
+	}
 	sendNext := func(ep *Endpoint) {
-		payload, bytes := cp.makeReq(i, sent)
-		sent++
-		t0 = cp.net.Eng.Now()
-		ep.Send(payload, bytes)
+		var bytes int
+		c.req, bytes = cp.makeReq(i, c.sent)
+		c.sent++
+		c.t0 = cp.net.Eng.Now()
+		ep.Send(c.req, bytes)
 	}
 	cp.net.Dial(cp.p.Port, EndpointHooks{
 		OnOpen: sendNext,
 		OnMessage: func(ep *Endpoint, payload core.Msg, _ int) {
 			cp.Responses++
-			cp.Lat.Add(cp.net.Eng.Now() - t0)
+			cp.Lat.Add(cp.net.Eng.Now() - c.t0)
 			if cp.p.OnResp != nil {
-				cp.p.OnResp(i, sent-1, payload)
+				cp.p.OnResp(i, c.req, payload)
 			}
-			if sent >= cp.p.ReqsPerConn || cp.stopped {
+			if c.sent >= cp.p.ReqsPerConn || cp.stopped {
 				ep.Close()
 				return
 			}
 			cp.net.Eng.After(cp.think(rng), func() { sendNext(ep) })
 		},
 		OnClose: func(*Endpoint) {
-			if finished {
+			if c.finished {
 				return
 			}
-			finished = true
+			c.finished = true
 			cp.Completed++
 			cp.net.Eng.After(cp.think(rng), func() { cp.dial(i, rng) })
 		},
 		OnFail: func(*Endpoint) {
-			if finished {
+			if c.finished {
 				return
 			}
-			finished = true
+			c.finished = true
 			// Overloaded server shed us; cool off well past the backed-off
 			// RTO horizon, then try again.
 			cp.Failed++

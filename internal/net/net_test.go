@@ -255,6 +255,46 @@ func shardRun(shards int) uint64 {
 	return pool.Responses
 }
 
+// TestClientPoolOnRespPairsRequest: OnResp gets exactly the payload
+// MakeReq built for the response it answers — across the ReqsPerConn
+// boundary and the redial that follows it.
+func TestClientPoolOnRespPairsRequest(t *testing.T) {
+	w := newTW(8, 2, DefaultWireParams(), 3)
+	defer w.rt.Shutdown()
+	w.echoServer(500)
+	const clients = 4
+	type tag struct{ client, conn, req int }
+	var built [clients][]tag // every payload MakeReq built, in order
+	var conns, answered [clients]int
+	pool := NewClientPool(w.nw, ClientParams{
+		Port: 80, Clients: clients, ReqsPerConn: 3, ThinkCycles: 1000, Seed: 3,
+		MakeReq: func(c, r int) (core.Msg, int) {
+			if r == 0 {
+				conns[c]++
+			}
+			m := tag{c, conns[c], r}
+			built[c] = append(built[c], m)
+			return m, 64
+		},
+		OnResp: func(c int, req, resp core.Msg) {
+			want := built[c][answered[c]]
+			answered[c]++
+			if req != want || resp != want {
+				t.Errorf("client %d response %d: req %v resp %v, want both %v", c, answered[c], req, resp, want)
+			}
+		},
+	})
+	w.rt.RunFor(2_000_000)
+	for c := 0; c < clients; c++ {
+		if conns[c] < 3 || answered[c] < 7 {
+			t.Errorf("client %d: %d connections, %d responses; want a redial past the 3-request boundary", c, conns[c], answered[c])
+		}
+	}
+	if total := answered[0] + answered[1] + answered[2] + answered[3]; uint64(total) != pool.Responses {
+		t.Fatalf("OnResp ran %d times for %d responses", total, pool.Responses)
+	}
+}
+
 // TestShardScalingSanity: two netstack shards must serve at least as
 // much as one — independent connections should not serialise.
 func TestShardScalingSanity(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"chanos/internal/blockdev"
 	"chanos/internal/core"
 	"chanos/internal/kernel"
 	"chanos/internal/machine"
@@ -28,11 +27,7 @@ func bootHW(cores int, p Params, seed uint64, datas []map[int][]byte) *hw {
 	m := machine.New(eng, machine.DefaultParams(cores))
 	rt := core.NewRuntime(m, core.Config{Seed: seed})
 	k := kernel.New(rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt, pFilled(p), data))
-	}
-	kv := New(rt, k, p, disks)
+	kv := NewFrom(rt, k, p, datas)
 	return &hw{eng: eng, m: m, rt: rt, k: k, kv: kv}
 }
 

@@ -117,11 +117,7 @@ func TestCrashMidFlushRecovery(t *testing.T) {
 	rt2 := core.NewRuntime(m2, core.Config{Seed: seed + 1})
 	defer rt2.Shutdown()
 	k2 := kernel.New(rt2, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt2, pFilled(p), data))
-	}
-	kv2 := New(rt2, k2, p, disks)
+	kv2 := NewFrom(rt2, k2, p, datas)
 
 	checked := false
 	lostUnacked := 0
@@ -266,11 +262,7 @@ func TestCrashMidCompactionRecovery(t *testing.T) {
 	rt2 := core.NewRuntime(m2, core.Config{Seed: seed + 1})
 	defer rt2.Shutdown()
 	k2 := kernel.New(rt2, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt2, pFilled(p), data))
-	}
-	kv2 := New(rt2, k2, p, disks)
+	kv2 := NewFrom(rt2, k2, p, datas)
 
 	checked := false
 	rt2.Boot("auditor", func(th *core.Thread) {

@@ -317,11 +317,6 @@ func NewReplicaMachine(eng *sim.Engine, p ReplicaMachineParams, disks []*blockde
 // Shutdown tears the replica machine down.
 func (rm *ReplicaMachine) Shutdown() { rm.RT.Shutdown() }
 
-// ReplicateTo attaches quorum replication; it is AttachReplica under
-// its original name (PR 4 allowed attaching only alongside New; the
-// lifecycle work generalised it to any moment — see lifecycle.go).
-func (s *Store) ReplicateTo(rm *ReplicaMachine) { s.AttachReplica(rm) }
-
 // dialReplica builds one shard's attachment: the endpoint to rm's
 // replication port, with hooks that re-enter the shard as messages
 // carrying the attachment identity (a stale hook from an abandoned

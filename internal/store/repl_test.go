@@ -32,7 +32,7 @@ func newRW(cores int, p Params, seed uint64, wire net.WireParams, disks []*block
 	rm := NewReplicaMachine(eng, ReplicaMachineParams{
 		Cores: cores, Seed: seed + 1, Store: p, Wire: wire,
 	}, nil)
-	kv.ReplicateTo(rm)
+	kv.AttachReplica(rm)
 	return &rw{eng: eng, m: m, rt: rt, k: k, kv: kv, rm: rm}
 }
 
@@ -162,11 +162,7 @@ func TestFailoverAckedWritesSurvivePrimaryKill(t *testing.T) {
 	rt2 := core.NewRuntime(m2, core.Config{Seed: seed + 7})
 	defer rt2.Shutdown()
 	k2 := kernel.New(rt2, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt2, pFilled(p), data))
-	}
-	kv2 := New(rt2, k2, p, disks)
+	kv2 := NewFrom(rt2, k2, p, datas)
 	checked := false
 	rt2.Boot("auditor", func(th *core.Thread) {
 		for key, want := range acked {
@@ -226,15 +222,11 @@ func TestReplBootstrapSyncShipsCompactedImage(t *testing.T) {
 	m := machine.New(eng, machine.DefaultParams(8))
 	rt := core.NewRuntime(m, core.Config{Seed: seed + 1})
 	k := kernel.New(rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt, pFilled(p), data))
-	}
-	kv := New(rt, k, p, disks)
+	kv := NewFrom(rt, k, p, datas)
 	rm := NewReplicaMachine(eng, ReplicaMachineParams{
 		Cores: 8, Seed: seed + 2, Store: p, Wire: quietWire(seed),
 	}, nil)
-	kv.ReplicateTo(rm)
+	kv.AttachReplica(rm)
 	caught := false
 	for step := 0; step < 2000; step++ {
 		rt.RunFor(50_000)
@@ -263,11 +255,7 @@ func TestReplBootstrapSyncShipsCompactedImage(t *testing.T) {
 	rt3 := core.NewRuntime(m3, core.Config{Seed: seed + 3})
 	defer rt3.Shutdown()
 	k3 := kernel.New(rt3, kernel.Config{})
-	var disks3 []*blockdev.Disk
-	for _, data := range rdatas {
-		disks3 = append(disks3, blockdev.NewDiskFrom(rt3, pFilled(p), data))
-	}
-	kv3 := New(rt3, k3, p, disks3)
+	kv3 := NewFrom(rt3, k3, p, rdatas)
 	checked := false
 	rt3.Boot("auditor", func(th *core.Thread) {
 		if g := kv3.Get(th, "b00"); !g.Found || string(g.Val) != "v0b" || g.Ver != 2 {
@@ -330,12 +318,12 @@ func TestCompactionPausesBootstrapSync(t *testing.T) {
 	rt := core.NewRuntime(m, core.Config{Seed: seed + 1})
 	defer rt.Shutdown()
 	k := kernel.New(rt, kernel.Config{})
-	kv := New(rt, k, p, []*blockdev.Disk{blockdev.NewDiskFrom(rt, pFilled(p), data)})
+	kv := NewFrom(rt, k, p, []map[int][]byte{data})
 	rm := NewReplicaMachine(eng, ReplicaMachineParams{
 		Cores: 8, Seed: seed + 2, Store: p, Wire: quietWire(seed),
 	}, nil)
 	defer rm.Shutdown()
-	kv.ReplicateTo(rm)
+	kv.AttachReplica(rm)
 	churnDone := false
 	rt.Boot("churn", func(th *core.Thread) {
 		// A pipelined burst: the appends land while the bootstrap sweep

@@ -520,6 +520,22 @@ func New(rt *core.Runtime, k *kernel.Kernel, p Params, disks []*blockdev.Disk) *
 	return s
 }
 
+// NewFrom boots a store from platter snapshots, one per shard in shard
+// order, on devices with p's disk model; the shard count is the
+// snapshot count. nil datas boots fresh devices, like New.
+func NewFrom(rt *core.Runtime, k *kernel.Kernel, p Params, datas []map[int][]byte) *Store {
+	if datas == nil {
+		return New(rt, k, p, nil)
+	}
+	p.Shards = len(datas)
+	p.fill()
+	disks := make([]*blockdev.Disk, len(datas))
+	for i, data := range datas {
+		disks[i] = blockdev.NewDiskFrom(rt, p.Disk, data)
+	}
+	return New(rt, k, p, disks)
+}
+
 // Shards returns the number of store shards.
 func (s *Store) Shards() int { return s.svc.Shards() }
 

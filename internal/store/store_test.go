@@ -380,11 +380,7 @@ func TestAckedWritesSurviveImmediateCrash(t *testing.T) {
 	rt := core.NewRuntime(m, core.Config{Seed: 18})
 	defer rt.Shutdown()
 	k := kernel.New(rt, kernel.Config{})
-	var disks []*blockdev.Disk
-	for _, data := range datas {
-		disks = append(disks, blockdev.NewDiskFrom(rt, pFilled(p), data))
-	}
-	kv := New(rt, k, p, disks)
+	kv := NewFrom(rt, k, p, datas)
 	ok := false
 	rt.Boot("reader", func(th *core.Thread) {
 		for i := 0; i < 8; i++ {
@@ -457,7 +453,7 @@ func TestFailedFlushFailStopsShard(t *testing.T) {
 	rt := core.NewRuntime(m, core.Config{Seed: 22})
 	defer rt.Shutdown()
 	k := kernel.New(rt, kernel.Config{})
-	kv := New(rt, k, p, []*blockdev.Disk{blockdev.NewDiskFrom(rt, pFilled(p), data)})
+	kv := NewFrom(rt, k, p, []map[int][]byte{data})
 	ok := false
 	rt.Boot("auditor", func(th *core.Thread) {
 		if g := kv.Get(th, "good"); !g.Found || string(g.Val) != "v1" {
@@ -526,12 +522,6 @@ func TestSealedBlockNotCachedUntilFlushed(t *testing.T) {
 	if !done {
 		t.Fatal("app thread never finished")
 	}
-}
-
-// pFilled resolves a Params' disk geometry the way New does.
-func pFilled(p Params) blockdev.DiskParams {
-	p.fill()
-	return p.Disk
 }
 
 // digest runs a seeded mixed workload and returns everything countable.

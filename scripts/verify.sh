@@ -2,8 +2,8 @@
 # verify.sh — the repo's tier-1 gate plus quick experiment smokes.
 #
 # Usage: scripts/verify.sh [-short]
-#   -short   skip the experiment smokes (build/vet/chanos-vet/gofmt/
-#            test + race tier only)
+#   -short   skip the perfbench module and the experiment smokes
+#            (build/vet/chanos-vet/gofmt/test + race tier only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +43,14 @@ echo "== go test -race -short ./..."
 go test -race -short ./...
 
 if [ "$short" = "0" ]; then
+    echo "== perfbench module: go vet + go test"
+    # perfbench is its own module (it builds the benchmark from this
+    # checkout through a replace directive), so the root ./... never
+    # compiles it: a change to any API it reads would break the
+    # benchmark's build unseen. ~20 s.
+    go -C perfbench vet ./...
+    go -C perfbench test ./...
+
     echo "== E14 netstack smoke (quick)"
     out=$(go run ./cmd/chanos-bench -run E14 -quick)
     echo "$out"
