@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"chanos/internal/sim/fifo"
+)
 
 // Dir says which way a choice case moves data.
 type Dir int
@@ -15,13 +19,44 @@ const (
 // waiter is one parked operation on a channel: a blocked sender, a blocked
 // receiver, a registered choice case, or an injected (threadless) value
 // from a device or the runtime itself.
+//
+// Waiters are pooled on the same contract as sim.Timer: a channel queue
+// holds a wref, the waiter plus its generation at registration, and
+// freeWaiter advances the generation. An entry a thread left behind in
+// some other channel's queue therefore reads as dead once its waiter is
+// recycled, and can never match the waiter's next use.
 type waiter struct {
 	t       *Thread // nil for injected values
 	val     Msg     // payload for send-side waiters
 	from    int     // sender core for injected values
 	choice  *choiceRec
-	idx     int // case index within the choice
+	idx     int // case index within the choice; 0 for plain waits
 	removed bool
+	gen     uint64
+}
+
+// wref is a wait-queue entry: a waiter as of one generation.
+type wref struct {
+	w   *waiter
+	gen uint64
+}
+
+func (r wref) dead() bool { return r.w.gen != r.gen || r.w.dead() }
+
+// newWaiter takes a zeroed waiter from the pool.
+func (rt *Runtime) newWaiter() *waiter {
+	if n := len(rt.freeW); n > 0 {
+		w := rt.freeW[n-1]
+		rt.freeW = rt.freeW[:n-1]
+		return w
+	}
+	return new(waiter)
+}
+
+// freeWaiter recycles w, invalidating every queue entry naming it.
+func (rt *Runtime) freeWaiter(w *waiter) {
+	*w = waiter{gen: w.gen + 1}
+	rt.freeW = append(rt.freeW, w)
 }
 
 func (w *waiter) dead() bool {
@@ -52,10 +87,10 @@ type Chan struct {
 	name     string
 	capacity int
 
-	buf      []bufEntry
+	buf      fifo.Queue[bufEntry]
 	inflight int // sends charged but not yet arrived at the channel
-	sendq    []*waiter
-	recvq    []*waiter
+	sendq    fifo.Queue[wref]
+	recvq    fifo.Queue[wref]
 	closed   bool
 
 	// Stats.
@@ -89,7 +124,7 @@ func (c *Chan) Cap() int { return c.capacity }
 func (c *Chan) Closed() bool { return c.closed }
 
 // Len returns the number of values queued (arrived) in the buffer.
-func (c *Chan) Len() int { return len(c.buf) }
+func (c *Chan) Len() int { return c.buf.Len() }
 
 // Send sends v, blocking until the channel can take it (rendezvous for
 // capacity 0, space in the buffer otherwise). Sending on a closed channel
@@ -125,6 +160,9 @@ func (c *Chan) Close(t *Thread) {
 	t.do(op{kind: opClose, ch: c})
 }
 
+// push registers w at the tail of q.
+func push(q *fifo.Queue[wref], w *waiter) { q.Push(wref{w: w, gen: w.gen}) }
+
 // CloseAsync closes the channel from engine or harness context.
 func (rt *Runtime) CloseAsync(c *Chan) {
 	rt.Eng.At(rt.Eng.Now(), func() { rt.closeChan(c) })
@@ -140,33 +178,32 @@ func (rt *Runtime) closeChan(c *Chan) {
 	// panics); injected values are dropped; registered choice senders
 	// stay parked — send-readiness on a closed channel resolves to a
 	// fault only if that case is actually picked.
-	for _, w := range c.sendq {
-		if w.dead() {
+	for _, r := range c.sendq.Items() {
+		if r.dead() {
 			continue
 		}
+		w := r.w
 		if w.t != nil && w.choice == nil {
 			w.removed = true
 			rt.killThread(w.t, fmt.Errorf("%w: %s", ErrSendClosed, c.name))
 		} else if w.t == nil {
-			w.removed = true
+			rt.freeWaiter(w)
 		}
 	}
 	// Waiting receivers (beyond what the buffer satisfies) see closed.
-	if len(c.buf) == 0 {
-		for _, w := range c.recvq {
-			if w.dead() {
+	if c.buf.Len() == 0 {
+		for _, r := range c.recvq.Items() {
+			if r.dead() {
 				continue
 			}
+			w := r.w
 			w.removed = true
-			ww := w
-			if ww.choice != nil {
-				ww.choice.done = true
-				rt.Eng.At(now, func() { rt.wakeWith(ww.t, opResult{idx: ww.idx, ok: false, ready: true}) })
-			} else {
-				rt.Eng.At(now, func() { rt.wakeWith(ww.t, opResult{ok: false, ready: true}) })
+			if w.choice != nil {
+				w.choice.done = true
 			}
+			rt.arm(w.t, now, kWake).res = opResult{idx: w.idx, ok: false, ready: true}
 		}
-		c.recvq = nil
+		c.recvq.Reset()
 	}
 }
 
@@ -175,7 +212,52 @@ func (rt *Runtime) closeChan(c *Chan) {
 // distance. Delivery is deferred one engine event so InjectSend is safe
 // to call from thread context too.
 func (rt *Runtime) InjectSend(c *Chan, v Msg, fromCore int) {
-	rt.Eng.At(rt.Eng.Now(), func() { rt.injectNow(c, v, fromCore) })
+	rt.deliver(rt.Eng.Now(), c, v, fromCore, 0, false)
+}
+
+// delivery is a value on its way to a channel outside any thread's
+// continuation: an InjectSend, or a buffered send's value landing in the
+// channel's buffer after its InjectCycles hop. Deliveries are pooled and
+// their engine callback is bound once, so the hop allocates nothing.
+type delivery struct {
+	rt    *Runtime
+	c     *Chan
+	v     Msg
+	from  int
+	bytes int  // landing: the sender's payload size
+	land  bool // landing (else injection)
+	fn    func()
+}
+
+// deliver schedules a delivery of v to c at `at`.
+func (rt *Runtime) deliver(at uint64, c *Chan, v Msg, from, bytes int, land bool) {
+	var d *delivery
+	if n := len(rt.freeD); n > 0 {
+		d = rt.freeD[n-1]
+		rt.freeD = rt.freeD[:n-1]
+	} else {
+		d = &delivery{}
+		d.fn = d.fire
+	}
+	d.rt, d.c, d.v, d.from, d.bytes, d.land = rt, c, v, from, bytes, land
+	rt.Eng.At(at, d.fn)
+}
+
+func (d *delivery) fire() {
+	rt, c, v, from, bytes, land := d.rt, d.c, d.v, d.from, d.bytes, d.land
+	d.rt, d.c, d.v = nil, nil, nil
+	rt.freeD = append(rt.freeD, d)
+	if !land {
+		rt.injectNow(c, v, from)
+		return
+	}
+	c.inflight--
+	c.buf.Push(bufEntry{val: v, from: from})
+	if r := c.popRecv(); r != nil {
+		e := c.buf.Pop()
+		_, transit := rt.M.MsgCost(e.from, r.t.core, bytes)
+		rt.deliverToReceiver(r, e.val, rt.Eng.Now()+transit)
+	}
 }
 
 func (rt *Runtime) injectNow(c *Chan, v Msg, fromCore int) {
@@ -189,11 +271,13 @@ func (rt *Runtime) injectNow(c *Chan, v Msg, fromCore int) {
 		rt.deliverToReceiver(r, v, now+transit)
 		return
 	}
-	if c.capacity > 0 && len(c.buf)+c.inflight < c.capacity {
-		c.buf = append(c.buf, bufEntry{val: v, from: fromCore})
+	if c.capacity > 0 && c.buf.Len()+c.inflight < c.capacity {
+		c.buf.Push(bufEntry{val: v, from: fromCore})
 		return
 	}
-	c.sendq = append(c.sendq, &waiter{t: nil, val: v, from: fromCore})
+	w := rt.newWaiter()
+	w.val, w.from = v, fromCore
+	push(&c.sendq, w)
 }
 
 // After returns a fresh channel that receives a single Tick message d
@@ -209,27 +293,15 @@ type Tick struct{}
 
 // popRecv removes and returns the next live receive waiter, or nil. The
 // winner is marked consumed (its choice, if any, resolves).
-func (c *Chan) popRecv() *waiter {
-	for len(c.recvq) > 0 {
-		w := c.recvq[0]
-		c.recvq = c.recvq[1:]
-		if !w.dead() {
-			w.removed = true
-			if w.choice != nil {
-				w.choice.done = true
-			}
-			return w
-		}
-	}
-	return nil
-}
+func (c *Chan) popRecv() *waiter { return popLive(&c.recvq) }
 
 // popSend removes and returns the next live send waiter, or nil.
-func (c *Chan) popSend() *waiter {
-	for len(c.sendq) > 0 {
-		w := c.sendq[0]
-		c.sendq = c.sendq[1:]
-		if !w.dead() {
+func (c *Chan) popSend() *waiter { return popLive(&c.sendq) }
+
+func popLive(q *fifo.Queue[wref]) *waiter {
+	for q.Len() > 0 {
+		if r := q.Pop(); !r.dead() {
+			w := r.w
 			w.removed = true
 			if w.choice != nil {
 				w.choice.done = true
@@ -240,18 +312,9 @@ func (c *Chan) popSend() *waiter {
 	return nil
 }
 
-func (c *Chan) haveRecvWaiter() bool {
-	for _, w := range c.recvq {
-		if !w.dead() {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Chan) haveSendWaiter() bool {
-	for _, w := range c.sendq {
-		if !w.dead() {
+func haveLive(q *fifo.Queue[wref]) bool {
+	for _, r := range q.Items() {
+		if !r.dead() {
 			return true
 		}
 	}
@@ -260,7 +323,7 @@ func (c *Chan) haveSendWaiter() bool {
 
 // recvReady reports whether a receive would complete without blocking.
 func (c *Chan) recvReady() bool {
-	return len(c.buf) > 0 || c.haveSendWaiter() || c.closed
+	return c.buf.Len() > 0 || haveLive(&c.sendq) || c.closed
 }
 
 // sendReady reports whether a send would complete without blocking.
@@ -271,9 +334,9 @@ func (c *Chan) sendReady() bool {
 		return true
 	}
 	if c.capacity > 0 {
-		return len(c.buf)+c.inflight < c.capacity
+		return c.buf.Len()+c.inflight < c.capacity
 	}
-	return c.haveRecvWaiter()
+	return haveLive(&c.recvq)
 }
 
 // traceMsg reports a delivery to the configured tracer, if any.
@@ -285,13 +348,8 @@ func (rt *Runtime) traceMsg(c *Chan, from, to int, at uint64) {
 
 // deliverToReceiver completes a receive waiter with v at time `when`.
 func (rt *Runtime) deliverToReceiver(r *waiter, v Msg, when uint64) {
-	res := opResult{val: v, ok: true, ready: true}
-	if r.choice != nil {
-		res.idx = r.idx
-	}
-	t := r.t
-	t.received++
-	rt.Eng.At(when, func() { rt.wakeWith(t, res) })
+	r.t.received++
+	rt.arm(r.t, when, kWake).res = opResult{val: v, ok: true, ready: true, idx: r.idx}
 }
 
 // opSend processes a send (or try-send) op for thread t.
@@ -301,7 +359,7 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 
 	if o.try && !c.sendReady() {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.Eng.At(end, func() { rt.resumeInPlace(t, opResult{ready: false}) })
+		rt.arm(t, end, kResume)
 		return
 	}
 	if c.closed {
@@ -328,7 +386,13 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 	rt.M.Core(t.core).MsgsSent++
 	rt.M.Core(t.core).BytesSent += uint64(bytes)
 
-	rt.Eng.At(end, func() { rt.finishSendIdx(t, c, v, bytes, -1) })
+	rt.armSend(t, end, c, v, bytes, -1)
+}
+
+// armSend schedules the completion of t's send once its cost is paid.
+func (rt *Runtime) armSend(t *Thread, end uint64, c *Chan, v Msg, bytes, idx int) {
+	k := rt.arm(t, end, kSend)
+	k.ch, k.val, k.bytes, k.idx = c, v, bytes, idx
 }
 
 // finishSendIdx completes a send once the sender has paid its local cost.
@@ -339,10 +403,7 @@ func (rt *Runtime) finishSendIdx(t *Thread, c *Chan, v Msg, bytes int, idx int) 
 		return
 	}
 	now := rt.Eng.Now()
-	doneRes := opResult{ready: true, ok: true}
-	if idx >= 0 {
-		doneRes.idx = idx
-	}
+	doneRes := opResult{ready: true, ok: true, idx: max(idx, 0)}
 	if r := c.popRecv(); r != nil {
 		_, transit := rt.M.MsgCost(t.core, r.t.core, bytes)
 		arrival := now + transit
@@ -354,38 +415,29 @@ func (rt *Runtime) finishSendIdx(t *Thread, c *Chan, v Msg, bytes int, idx int) 
 			rt.stats.Rendezvous++
 			t.state = tBlocked
 			rt.releaseCore(t)
-			rt.Eng.At(arrival, func() { rt.wakeWith(t, doneRes) })
+			rt.arm(t, arrival, kWake).res = doneRes
 		} else {
 			rt.resumeInPlace(t, doneRes)
 		}
 		return
 	}
-	if c.capacity > 0 && len(c.buf)+c.inflight < c.capacity {
+	if c.capacity > 0 && c.buf.Len()+c.inflight < c.capacity {
 		// Fire and forget: the value travels to the channel's buffer.
 		c.inflight++
-		from := t.core
-		rt.Eng.At(now+rt.M.P.InjectCycles, func() {
-			c.inflight--
-			c.buf = append(c.buf, bufEntry{val: v, from: from})
-			if r := c.popRecv(); r != nil {
-				e := c.buf[0]
-				c.buf = c.buf[1:]
-				_, transit := rt.M.MsgCost(e.from, r.t.core, bytes)
-				rt.deliverToReceiver(r, e.val, rt.Eng.Now()+transit)
-			}
-		})
+		rt.deliver(now+rt.M.P.InjectCycles, c, v, t.core, bytes, true)
 		rt.resumeInPlace(t, doneRes)
 		return
 	}
 	// Block: rendezvous with no receiver, or buffer full.
-	w := &waiter{t: t, val: v, from: t.core}
+	w := rt.newWaiter()
+	w.t, w.val, w.from = t, v, t.core
 	if idx >= 0 {
 		// A picked choice send that raced to non-ready: register as a
 		// resolved-choice waiter so completion carries the index.
 		w.idx = idx
-		w.choice = &choiceRec{}
+		w.choice = t.newChoice()
 	}
-	c.sendq = append(c.sendq, w)
+	push(&c.sendq, w)
 	t.waits = append(t.waits, w)
 	t.state = tBlocked
 	rt.releaseCore(t)
@@ -398,12 +450,18 @@ func (rt *Runtime) opRecv(t *Thread, o op) {
 
 	if o.try && !c.recvReady() {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.Eng.At(end, func() { rt.resumeInPlace(t, opResult{ready: false}) })
+		rt.arm(t, end, kResume)
 		return
 	}
 
 	_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.MsgRecvCost)
-	rt.Eng.At(end, func() { rt.finishRecvIdx(t, c, -1) })
+	rt.armRecv(t, end, c, -1)
+}
+
+// armRecv schedules the completion of t's receive once its cost is paid.
+func (rt *Runtime) armRecv(t *Thread, end uint64, c *Chan, idx int) {
+	k := rt.arm(t, end, kRecv)
+	k.ch, k.idx = c, idx
 }
 
 // finishRecvIdx completes a receive once the receiver has paid its local
@@ -417,16 +475,10 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 	rt.stats.Recvs++
 	c.Recvs++
 	rt.M.Core(t.core).MsgsRecvd++
-	withIdx := func(r opResult) opResult {
-		if idx >= 0 {
-			r.idx = idx
-		}
-		return r
-	}
+	ci := max(idx, 0) // the case index a choice receive resumes with
 
-	if len(c.buf) > 0 {
-		e := c.buf[0]
-		c.buf = c.buf[1:]
+	if c.buf.Len() > 0 {
+		e := c.buf.Pop()
 		bytes := rt.msgBytes(e.val)
 		_, transit := rt.M.MsgCost(e.from, t.core, bytes)
 		// Freeing buffer space may unblock a parked sender.
@@ -437,20 +489,20 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		t.state = tBlocked
 		rt.releaseCore(t)
 		rt.traceMsg(c, e.from, t.core, now+transit)
-		res := withIdx(opResult{val: e.val, ok: true, ready: true})
-		rt.Eng.At(now+transit, func() { rt.wakeWith(t, res) })
+		rt.arm(t, now+transit, kWake).res = opResult{val: e.val, ok: true, ready: true, idx: ci}
 		return
 	}
 	if s := c.popSend(); s != nil {
 		if s.t == nil {
 			// Injected value.
-			bytes := rt.msgBytes(s.val)
+			v := s.val
+			bytes := rt.msgBytes(v)
 			_, transit := rt.M.MsgCost(s.from, t.core, bytes)
+			rt.freeWaiter(s)
 			t.received++
 			t.state = tBlocked
 			rt.releaseCore(t)
-			res := withIdx(opResult{val: s.val, ok: true, ready: true})
-			rt.Eng.At(now+transit, func() { rt.wakeWith(t, res) })
+			rt.arm(t, now+transit, kWake).res = opResult{val: v, ok: true, ready: true, idx: ci}
 			return
 		}
 		// Rendezvous with a blocked sender (or a choice send case).
@@ -460,30 +512,25 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		rt.traceMsg(c, s.t.core, t.core, arrival)
 		rt.stats.Rendezvous++
 		v := s.val
-		sender := s.t
-		sRes := opResult{ready: true, ok: true}
-		if s.choice != nil {
-			sRes.idx = s.idx
-		}
-		rt.Eng.At(arrival, func() { rt.wakeWith(sender, sRes) })
+		rt.arm(s.t, arrival, kWake).res = opResult{ready: true, ok: true, idx: s.idx}
 		t.received++
 		t.state = tBlocked
 		rt.releaseCore(t)
-		res := withIdx(opResult{val: v, ok: true, ready: true})
-		rt.Eng.At(arrival, func() { rt.wakeWith(t, res) })
+		rt.arm(t, arrival, kWake).res = opResult{val: v, ok: true, ready: true, idx: ci}
 		return
 	}
 	if c.closed {
-		rt.resumeInPlace(t, withIdx(opResult{ok: false, ready: true}))
+		rt.resumeInPlace(t, opResult{ok: false, ready: true, idx: ci})
 		return
 	}
 	// Block.
-	w := &waiter{t: t}
+	w := rt.newWaiter()
+	w.t = t
 	if idx >= 0 {
 		w.idx = idx
-		w.choice = &choiceRec{}
+		w.choice = t.newChoice()
 	}
-	c.recvq = append(c.recvq, w)
+	push(&c.recvq, w)
 	t.waits = append(t.waits, w)
 	t.state = tBlocked
 	rt.releaseCore(t)
@@ -493,16 +540,12 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 // enter the channel buffer.
 func (rt *Runtime) promoteSender(c *Chan, s *waiter, now uint64) {
 	if s.t == nil {
-		c.buf = append(c.buf, bufEntry{val: s.val, from: s.from})
+		c.buf.Push(bufEntry{val: s.val, from: s.from})
+		rt.freeWaiter(s)
 		return
 	}
-	c.buf = append(c.buf, bufEntry{val: s.val, from: s.t.core})
-	sender := s.t
-	res := opResult{ready: true, ok: true}
-	if s.choice != nil {
-		res.idx = s.idx
-	}
-	rt.Eng.At(now, func() { rt.wakeWith(sender, res) })
+	c.buf.Push(bufEntry{val: s.val, from: s.t.core})
+	rt.arm(s.t, now, kWake).res = opResult{ready: true, ok: true, idx: s.idx}
 }
 
 // Call implements the paper's RPC idiom: "c <- (a, b, c1); r <- c1" — send

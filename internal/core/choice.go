@@ -53,18 +53,27 @@ func (rt *Runtime) opChoose(t *Thread, o op) {
 	rt.stats.Chooses++
 	setup := rt.Cfg.ChooseSetup + uint64(len(o.cases))*rt.Cfg.ChooseCase
 	_, end := rt.M.Core(t.core).Reserve(rt.Eng.Now(), setup)
-	rt.Eng.At(end, func() { rt.evalChoice(t, o) })
+	k := rt.arm(t, end, kChoose)
+	k.cases, k.hasDef = o.cases, o.hasDef
+}
+
+// newChoice resets and returns t's choice record. A thread blocks in at
+// most one choice at a time, and the waiters of its previous one were
+// recycled when that wait ended.
+func (t *Thread) newChoice() *choiceRec {
+	t.choice.done = false
+	return &t.choice
 }
 
 // evalChoice picks among ready cases or parks the thread per the
 // configured implementation strategy.
-func (rt *Runtime) evalChoice(t *Thread, o op) {
+func (rt *Runtime) evalChoice(t *Thread, cases []Case, hasDef bool) {
 	if t.state == tDead {
 		rt.releaseCore(t)
 		return
 	}
-	var ready []int
-	for i, cs := range o.cases {
+	ready := rt.ready[:0]
+	for i, cs := range cases {
 		if cs.Ch == nil {
 			panic("core: Choose case with nil channel")
 		}
@@ -78,25 +87,27 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 			ready = append(ready, i)
 		}
 	}
+	rt.ready = ready
 	if len(ready) > 0 {
 		pick := ready[rt.rng.Intn(len(ready))]
-		rt.execCase(t, o.cases[pick], pick)
+		rt.execCase(t, cases[pick], pick)
 		return
 	}
-	if o.hasDef {
+	if hasDef {
 		rt.resumeInPlace(t, opResult{idx: -1})
 		return
 	}
 	switch rt.Cfg.Choose {
 	case ChooseWaiters:
-		rec := &choiceRec{}
-		for i, cs := range o.cases {
-			w := &waiter{t: t, choice: rec, idx: i}
+		rec := t.newChoice()
+		for i, cs := range cases {
+			w := rt.newWaiter()
+			w.t, w.choice, w.idx = t, rec, i
 			if cs.Dir == RecvDir {
-				cs.Ch.recvq = append(cs.Ch.recvq, w)
+				push(&cs.Ch.recvq, w)
 			} else {
 				w.val = cs.Val
-				cs.Ch.sendq = append(cs.Ch.sendq, w)
+				push(&cs.Ch.sendq, w)
 			}
 			t.waits = append(t.waits, w)
 		}
@@ -107,72 +118,58 @@ func (rt *Runtime) evalChoice(t *Thread, o op) {
 		// the thread's core each round — the "wasted cycles" strategy.
 		t.state = tBlocked
 		rt.releaseCore(t)
-		var poll func()
-		poll = func() {
-			if t.state == tDead {
-				return
-			}
-			rt.stats.ChoosePolls++
-			cost := rt.Cfg.PollCost * uint64(len(o.cases))
-			_, end := rt.M.Core(t.core).Reserve(rt.Eng.Now(), cost)
-			t.wake = rt.Eng.At(end, func() {
-				if t.state == tDead {
-					return
-				}
-				anyReady := false
-				for _, cs := range o.cases {
-					if cs.Dir == RecvDir && cs.Ch.recvReady() ||
-						cs.Dir == SendDir && cs.Ch.sendReady() {
-						anyReady = true
-						break
-					}
-				}
-				if anyReady {
-					// Reclaim the core, then re-evaluate as if freshly
-					// charged.
-					t.pending = opResult{}
-					t.state = tReady
-					rt.rePoll(t, o)
-					return
-				}
-				t.wake = rt.Eng.At(rt.Eng.Now()+rt.Cfg.PollInterval, poll)
-			})
-		}
-		t.wake = rt.Eng.At(rt.Eng.Now()+rt.Cfg.PollInterval, poll)
+		rt.arm(t, rt.Eng.Now()+rt.Cfg.PollInterval, kPoll).cases = cases
 	default:
 		panic("core: unknown choose implementation")
 	}
 }
 
-// rePoll re-runs a polled choice once readiness was observed. The thread
-// must win its core back first; dispatch handles queueing.
-func (rt *Runtime) rePoll(t *Thread, o op) {
-	cs := rt.cores[t.core]
-	t.state = tBlocked
-	// Queue a resumption that re-executes the choice evaluation.
-	rt.Eng.At(rt.Eng.Now(), func() {
-		if t.state == tDead {
+// poll charges one readiness poll of a ChoosePoll wait.
+func (rt *Runtime) poll(t *Thread, cases []Case) {
+	if t.state == tDead {
+		return
+	}
+	rt.stats.ChoosePolls++
+	cost := rt.Cfg.PollCost * uint64(len(cases))
+	_, end := rt.M.Core(t.core).Reserve(rt.Eng.Now(), cost)
+	rt.arm(t, end, kPollCheck).cases = cases
+}
+
+// pollCheck looks for a ready case once a poll is paid, and either
+// re-runs the choice or schedules the next poll.
+func (rt *Runtime) pollCheck(t *Thread, cases []Case) {
+	if t.state == tDead {
+		return
+	}
+	for _, cs := range cases {
+		if cs.Dir == RecvDir && cs.Ch.recvReady() ||
+			cs.Dir == SendDir && cs.Ch.sendReady() {
+			// Reclaim the core, then re-evaluate as if freshly charged.
+			// The thread must win its core back first; dispatch handles
+			// queueing.
+			t.pending = opResult{}
+			t.state = tBlocked
+			rt.arm(t, rt.Eng.Now(), kRePoll).cases = cases
 			return
 		}
-		_ = cs
-		rt.evalChoiceOnCore(t, o)
-	})
+	}
+	rt.arm(t, rt.Eng.Now()+rt.Cfg.PollInterval, kPoll).cases = cases
 }
 
 // evalChoiceOnCore claims the thread's core and evaluates the choice
 // again (poll path only).
-func (rt *Runtime) evalChoiceOnCore(t *Thread, o op) {
+func (rt *Runtime) evalChoiceOnCore(t *Thread, cases []Case) {
 	cs := rt.cores[t.core]
 	if cs.cur != nil && cs.cur != t {
 		// Core busy: retry when it frees — rare; just poll again shortly.
-		t.wake = rt.Eng.At(rt.Eng.Now()+rt.Cfg.PollInterval, func() { rt.evalChoiceOnCore(t, o) })
+		rt.arm(t, rt.Eng.Now()+rt.Cfg.PollInterval, kPollRetry).cases = cases
 		return
 	}
 	if cs.cur == nil {
 		cs.cur = t
 	}
 	t.state = tRunning
-	rt.evalChoice(t, o)
+	rt.evalChoice(t, cases, false)
 }
 
 // execCase runs the chosen ready case for t, which owns its core.
@@ -180,7 +177,7 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	now := rt.Eng.Now()
 	if cs.Dir == RecvDir {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.MsgRecvCost)
-		rt.Eng.At(end, func() { rt.finishRecvIdx(t, cs.Ch, idx) })
+		rt.armRecv(t, end, cs.Ch, idx)
 		return
 	}
 	// Send case.
@@ -203,5 +200,5 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	rt.stats.BytesSent += uint64(bytes)
 	cs.Ch.Sends++
 	t.sent++
-	rt.Eng.At(end, func() { rt.finishSendIdx(t, cs.Ch, v, bytes, idx) })
+	rt.armSend(t, end, cs.Ch, v, bytes, idx)
 }

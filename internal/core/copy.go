@@ -82,6 +82,9 @@ func sizeOf(v reflect.Value, depth int) int {
 		if v.IsNil() {
 			return 8
 		}
+		if v.Type() == chanPtrType {
+			return 8 + (*Chan)(v.UnsafePointer()).footprint(depth-1)
+		}
 		return 8 + sizeOf(v.Elem(), depth-1)
 	case reflect.Struct:
 		n := 0
@@ -95,6 +98,26 @@ func sizeOf(v reflect.Value, depth int) int {
 	default:
 		return int(v.Type().Size())
 	}
+}
+
+var chanPtrType = reflect.TypeFor[*Chan]()
+
+// footprint estimates the bytes of a channel reached through a pointer
+// inside a message, at the remaining walk depth: its 11 header fields,
+// plus 8 bytes per entry queued in its buffer and wait queues (dead
+// wait entries included). This is what walking the fields gave when the
+// queues were plain slices; it is spelled out so the simulated cost of a
+// message that carries a channel does not depend on how the queues are
+// implemented.
+func (c *Chan) footprint(depth int) int {
+	switch depth {
+	case 0:
+		return 8
+	case 1:
+		return 11 * 8
+	}
+	queued := c.buf.Len() + c.sendq.Len() + c.recvq.Len()
+	return 145 + len(c.name) + 8*queued
 }
 
 // deepCopy produces an isolated copy of a message for strict

@@ -27,6 +27,7 @@ import (
 
 	"chanos/internal/machine"
 	"chanos/internal/sim"
+	"chanos/internal/sim/fifo"
 )
 
 // ChooseImpl selects how blocked Choose operations wait; the paper (§5)
@@ -173,12 +174,18 @@ type Runtime struct {
 
 	threads map[int]*Thread
 	stats   Stats
+
+	// Recycled host records (see waiter and delivery) and evalChoice's
+	// scratch list of ready cases.
+	freeW []*waiter
+	freeD []*delivery
+	ready []int
 }
 
 type coreState struct {
 	id       int
 	cur      *Thread // thread currently owning the core (running or mid-op)
-	runq     []*Thread
+	runq     fifo.Queue[*Thread]
 	lastTID  int  // last thread that ran; used to charge context switches
 	idle     bool // parked with empty queue, waiting for a kick
 	assigned int  // live threads placed on this core
@@ -221,7 +228,7 @@ func (rt *Runtime) Stats() Stats { return rt.stats }
 // currently owns the core). Schedulers use it to find stealable backlogs.
 func (rt *Runtime) CoreLoad(i int) int {
 	cs := rt.cores[i]
-	n := len(cs.runq)
+	n := cs.runq.Len()
 	if cs.cur != nil {
 		n++
 	}
@@ -237,10 +244,10 @@ func (rt *Runtime) CoreAssigned(i int) int { return rt.cores[i].assigned }
 // retargets it to thief. It returns nil if nothing is stealable.
 func (rt *Runtime) StealFrom(victim, thief int) *Thread {
 	cs := rt.cores[victim]
-	for i := len(cs.runq) - 1; i >= 0; i-- {
-		t := cs.runq[i]
-		cs.runq = append(cs.runq[:i], cs.runq[i+1:]...)
-		if t.state == tDead {
+	for i := cs.runq.Len() - 1; i >= 0; i-- {
+		t := cs.runq.Items()[i]
+		cs.runq.Remove(i)
+		if t.state != tReady {
 			continue
 		}
 		cs.assigned--
@@ -260,7 +267,7 @@ func (rt *Runtime) Boot(name string, fn func(*Thread), opts ...SpawnOpt) *Thread
 		o(&req)
 	}
 	t := rt.newThread(&req)
-	rt.Eng.At(rt.Eng.Now(), func() { rt.makeReady(t) })
+	rt.arm(t, rt.Eng.Now(), kReady)
 	return t
 }
 
@@ -318,6 +325,7 @@ func (rt *Runtime) newThread(req *spawnReq) *Thread {
 		name:  req.name,
 		links: make(map[int]*Thread),
 	}
+	t.kfn = t.fire
 	rt.nextID++
 	t.core = rt.sched.Place(rt, req.hint)
 	if t.core < 0 || t.core >= rt.NumCores() {
@@ -349,9 +357,9 @@ func (rt *Runtime) makeReady(t *Thread) {
 	}
 	t.state = tReady
 	cs := rt.cores[t.core]
-	cs.runq = append(cs.runq, t)
+	cs.runq.Push(t)
 	rt.dispatch(cs)
-	if cs.cur != nil && len(cs.runq) > 0 {
+	if cs.cur != nil && cs.runq.Len() > 0 {
 		rt.kickIdleCore()
 	}
 }
@@ -378,11 +386,11 @@ func (rt *Runtime) dispatch(cs *coreState) {
 		return
 	}
 	var t *Thread
-	for len(cs.runq) > 0 {
-		t = cs.runq[0]
-		cs.runq[0] = nil
-		cs.runq = cs.runq[1:]
-		if t.state != tDead {
+	for cs.runq.Len() > 0 {
+		// Only a killed thread can sit in a run queue not ready: dead,
+		// or still unwinding through deferred code on continuations
+		// of its own.
+		if t = cs.runq.Pop(); t.state == tReady {
 			break
 		}
 		t = nil
@@ -415,13 +423,7 @@ func (rt *Runtime) dispatch(cs *coreState) {
 		rt.resumeThread(t, res)
 		return
 	}
-	rt.Eng.At(end, func() {
-		if t.state == tDead {
-			rt.releaseCore(t)
-			return
-		}
-		rt.resumeThread(t, res)
-	})
+	rt.arm(t, end, kDispatch).res = res
 }
 
 // releaseCore detaches t from its core (if it owns it) and redistributes.
@@ -455,23 +457,12 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 	switch o.kind {
 	case opCompute:
 		_, end := rt.M.Core(t.core).Reserve(now, o.cycles)
-		t.wake = rt.Eng.At(end, func() {
-			// Preempt at the op boundary if others are waiting for this
-			// core: without this, a compute loop starves its run queue.
-			cs := rt.cores[t.core]
-			if cs.cur == t && len(cs.runq) > 0 {
-				t.pending = opResult{}
-				cs.cur = nil
-				rt.makeReady(t)
-				return
-			}
-			rt.resumeThread(t, opResult{})
-		})
+		rt.arm(t, end, kCompute)
 
 	case opSleep:
 		t.state = tBlocked
 		rt.releaseCore(t)
-		t.wake = rt.Eng.At(now+o.cycles, func() { rt.wakeWith(t, opResult{}) })
+		rt.arm(t, now+o.cycles, kSleep)
 
 	case opYield:
 		t.pending = opResult{}
@@ -494,12 +485,7 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 	case opSpawn:
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.SpawnCost)
 		child := rt.newThread(o.spawn)
-		rt.Eng.At(end, func() {
-			rt.makeReady(child)
-			if t.state != tDead {
-				rt.resumeThread(t, opResult{thread: child})
-			}
-		})
+		rt.arm(t, end, kSpawn).res = opResult{thread: child}
 
 	case opSend:
 		rt.opSend(t, o)
@@ -512,17 +498,11 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 
 	case opClose:
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.Eng.At(end, func() {
-			rt.closeChan(o.ch)
-			rt.resumeInPlace(t, opResult{})
-		})
+		rt.arm(t, end, kClose).ch = o.ch
 
 	case opKill:
 		_, end := rt.M.Core(t.core).Reserve(now, 30)
-		rt.Eng.At(end, func() {
-			rt.killThread(o.victim, ErrKilled)
-			rt.resumeInPlace(t, opResult{})
-		})
+		rt.arm(t, end, kKill).peer = o.victim
 
 	case opPark:
 		if t.permit {
@@ -535,19 +515,8 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 		rt.releaseCore(t)
 
 	case opUnpark:
-		v := o.victim
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.WakeCost)
-		rt.Eng.At(end, func() {
-			if v.state != tDead {
-				if v.parked {
-					v.parked = false
-					rt.wakeWith(v, opResult{})
-				} else {
-					v.permit = true
-				}
-			}
-			rt.resumeInPlace(t, opResult{})
-		})
+		rt.arm(t, end, kUnpark).peer = o.victim
 
 	case opExit:
 		rt.threadExit(t, o.exit)
@@ -565,9 +534,21 @@ func (rt *Runtime) wakeWith(t *Thread, res opResult) {
 		return
 	}
 	t.cancelWaits()
-	t.wake = sim.Timer{}
 	t.pending = res
 	rt.makeReady(t)
+}
+
+// unpark wakes v from Park, or banks a permit if it is not parked.
+func (rt *Runtime) unpark(v *Thread) {
+	if v.state == tDead {
+		return
+	}
+	if v.parked {
+		v.parked = false
+		rt.wakeWith(v, opResult{})
+	} else {
+		v.permit = true
+	}
 }
 
 // resumeInPlace continues a thread that still owns its core at the current

@@ -122,8 +122,11 @@ type Thread struct {
 	in      opResult          // result handed to the body by the current resume
 	exitErr error             // exit reason finish recorded as the body unwound
 	pending opResult
-	wake    sim.Timer // scheduled compute/sleep completion, if any
+	k       cont      // the one pending engine continuation (see cont)
+	kfn     func()    // t.fire, bound once: the callback of every continuation
+	orphans []cont    // continuations a kill detached from the slot, still due to fire
 	waits   []*waiter // live wait-queue registrations, for cancellation
+	choice  choiceRec // shared by the waiters of t's current blocked Choose
 
 	links     map[int]*Thread
 	monitors  []*Chan
@@ -327,7 +330,7 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 	t.exitReason = reason
 	rt.cores[t.core].assigned--
 	rt.stats.Exits++
-	rt.Eng.Cancel(t.wake)
+	t.dropCont()
 	t.cancelWaits()
 	rt.releaseCore(t)
 
@@ -396,7 +399,7 @@ func (rt *Runtime) killThread(t *Thread, reason error) {
 		return
 	}
 	rt.stats.Kills++
-	rt.Eng.Cancel(t.wake)
+	t.dropCont()
 	t.cancelWaits()
 	// Pull it off the core / run queue bookkeeping happens in threadExit;
 	// here we just need the body to unwind. The thread may be Ready
@@ -407,10 +410,13 @@ func (rt *Runtime) killThread(t *Thread, reason error) {
 	rt.handleOp(t, t.run(opResult{poison: reason}))
 }
 
-// cancelWaits removes the thread from every channel wait queue.
+// cancelWaits removes the thread from every channel wait queue. The
+// waiters go back to the pool; recycling advances their generation, so
+// the entries they leave in channel queues read as dead.
 func (t *Thread) cancelWaits() {
-	for _, w := range t.waits {
-		w.removed = true
+	for i, w := range t.waits {
+		t.rt.freeWaiter(w)
+		t.waits[i] = nil
 	}
-	t.waits = nil
+	t.waits = t.waits[:0]
 }

@@ -58,6 +58,7 @@ type NIC struct {
 	rxOcc       []int      // per RX queue: descriptors in flight to the host
 	rx          func(queue int, f Frame)
 	wire        func(f Frame)
+	free        []*xfer // recycled frames-in-flight
 
 	// qm is the per-queue metric set — the device-plane analogue of a
 	// kernel service's per-shard counters. The NIC runs in engine
@@ -162,11 +163,44 @@ func (n *NIC) Transmit(f Frame) {
 	n.txBusyUntil[f.Queue] = end
 	n.qm[f.Queue].TxFrames++
 	n.qm[f.Queue].TxBytes += uint64(f.Bytes)
-	n.m.Eng.At(end, func() {
-		if n.wire != nil {
-			n.wire(f)
-		}
-	})
+	n.schedule(end, f, false)
+}
+
+// xfer is a frame in flight through the device: serialising out of a TX
+// queue toward the wire, or in RX DMA toward the host. Xfers are pooled
+// and their engine callback is bound once, so moving a frame allocates
+// nothing.
+type xfer struct {
+	n  *NIC
+	f  Frame
+	rx bool
+	fn func()
+}
+
+// schedule hands f to the wire (rx false) or the host (rx true) at `at`.
+func (n *NIC) schedule(at sim.Time, f Frame, rx bool) {
+	var x *xfer
+	if k := len(n.free); k > 0 {
+		x = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		x = &xfer{n: n}
+		x.fn = x.fire
+	}
+	x.f, x.rx = f, rx
+	n.m.Eng.At(at, x.fn)
+}
+
+func (x *xfer) fire() {
+	n, f, rx := x.n, x.f, x.rx
+	x.f = Frame{}
+	n.free = append(n.free, x)
+	switch {
+	case rx && n.rx != nil:
+		n.rx(f.Queue, f)
+	case !rx && n.wire != nil:
+		n.wire(f)
+	}
 }
 
 // Arrive delivers a frame from the wire into RX queue f.Queue. A full
@@ -185,11 +219,7 @@ func (n *NIC) Arrive(f Frame) {
 	n.rxOcc[f.Queue]++
 	n.qm[f.Queue].RxFrames++
 	n.qm[f.Queue].RxBytes += uint64(f.Bytes)
-	n.m.Eng.After(n.P.RxDMACycles, func() {
-		if n.rx != nil {
-			n.rx(f.Queue, f)
-		}
-	})
+	n.schedule(n.m.Eng.Now()+n.P.RxDMACycles, f, true)
 }
 
 // RxDone returns one RX descriptor on queue q to the device (the host has

@@ -62,6 +62,7 @@ type Network struct {
 	nic    *machine.NIC
 	eps    map[ConnID]*Endpoint
 	nextID ConnID
+	pkts   pktPool // packets endpoints put on the wire
 
 	// Stats.
 	ToHost, ToClient uint64 // packets that survived the wire, per direction
@@ -102,20 +103,18 @@ func (n *Network) drop() bool {
 
 // fromHost carries a frame the NIC finished serialising to its endpoint.
 func (n *Network) fromHost(f machine.Frame) {
-	p, ok := f.Payload.(Packet)
+	q, ok := f.Payload.(*pkt)
 	if !ok {
 		return
 	}
 	if n.drop() {
 		n.WireDrops++
+		q.release()
 		return
 	}
 	n.ToClient++
-	n.Eng.After(n.delay(), func() {
-		if ep := n.eps[p.Conn]; ep != nil {
-			ep.handle(p)
-		}
-	})
+	q.net, q.toNIC = n, false
+	n.Eng.After(n.delay(), q.fn)
 }
 
 // toHost carries an endpoint's packet onto the machine's NIC, landing on
@@ -126,13 +125,28 @@ func (n *Network) toHost(p Packet) {
 		return
 	}
 	n.ToHost++
-	n.Eng.After(n.delay(), func() {
+	q := n.pkts.get(p)
+	q.net, q.toNIC = n, true
+	n.Eng.After(n.delay(), q.fn)
+}
+
+// hop lands a packet at the far end of the wire: in the host NIC's RX
+// queue for its connection, or at its endpoint.
+func (q *pkt) hop() {
+	n := q.net
+	if q.toNIC {
 		n.nic.Arrive(machine.Frame{
-			Queue:   n.nic.QueueFor(int(p.Conn)),
-			Bytes:   p.MsgBytes(),
-			Payload: p,
+			Queue:   n.nic.QueueFor(int(q.Conn)),
+			Bytes:   q.MsgBytes(),
+			Payload: q,
 		})
-	})
+		return
+	}
+	p := q.Packet
+	q.release()
+	if ep := n.eps[p.Conn]; ep != nil {
+		ep.handle(p)
+	}
 }
 
 // EndpointHooks are the client-side event callbacks. All run in engine
@@ -165,6 +179,7 @@ type Endpoint struct {
 	done    bool // remote FIN delivered
 	retries int
 	rto     sim.Timer
+	rtoFn   func() // ep.fireRTO, bound once
 }
 
 // Dial opens a connection to the given port: the SYN goes on the wire
@@ -172,6 +187,7 @@ type Endpoint struct {
 // MaxRetries is exhausted, e.g. when the listen backlog keeps shedding).
 func (n *Network) Dial(port int, hooks EndpointHooks) *Endpoint {
 	ep := &Endpoint{ID: n.nextID, Port: port, net: n, hooks: hooks}
+	ep.rtoFn = ep.fireRTO
 	n.nextID++
 	n.eps[ep.ID] = ep
 	n.toHost(Packet{Conn: ep.ID, Port: port, Flags: SYN})
@@ -230,7 +246,7 @@ func (ep *Endpoint) armRTO() {
 	if ep.rto.Pending() {
 		return
 	}
-	ep.rto = ep.net.Eng.After(rtoAfter(ep.net.P.RTOCycles, ep.retries), ep.fireRTO)
+	ep.rto = ep.net.Eng.After(rtoAfter(ep.net.P.RTOCycles, ep.retries), ep.rtoFn)
 }
 
 func (ep *Endpoint) cancelRTO() { ep.net.Eng.Cancel(ep.rto) }

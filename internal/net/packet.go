@@ -23,7 +23,10 @@
 // clusters with no new primitives.
 package net
 
-import "chanos/internal/core"
+import (
+	"chanos/internal/core"
+	"chanos/internal/sim/fifo"
+)
 
 // ConnID identifies one connection; it is the sharding key for the
 // netstack service and the RSS key for the NIC.
@@ -82,6 +85,44 @@ type Packet struct {
 // MsgBytes implements core.Sized.
 func (p Packet) MsgBytes() int { return headerBytes + p.Bytes }
 
+// pkt is a packet in transit. It rides the wire as a hop event's state,
+// the NIC as a frame's payload, and reaches the owning netstack shard as
+// an rx request's argument, so no hop boxes the packet or allocates a
+// callback: pkts are pooled, and their hop callback is bound once. The
+// last holder returns a pkt to the pool it came from: the wire hop for a
+// packet headed to an endpoint, the shard for one received by the host
+// (with its RX descriptor, see Stack).
+type pkt struct {
+	Packet
+	queue int      // RX queue the frame arrived on
+	pool  *pktPool // where release returns it
+	net   *Network // the wire carrying it
+	toNIC bool     // hop toward the host's NIC (else toward an endpoint)
+	fn    func()   // hop, bound once
+}
+
+// pktPool is a free list of pkts. Each has one owner: the wire (packets
+// from endpoints) or one netstack shard (packets it transmits).
+type pktPool struct{ free []*pkt }
+
+func (pp *pktPool) get(p Packet) *pkt {
+	var q *pkt
+	if n := len(pp.free); n > 0 {
+		q = pp.free[n-1]
+		pp.free = pp.free[:n-1]
+	} else {
+		q = &pkt{pool: pp}
+		q.fn = q.hop
+	}
+	q.Packet = p
+	return q
+}
+
+func (q *pkt) release() {
+	q.Packet, q.net = Packet{}, nil
+	q.pool.free = append(q.pool.free, q)
+}
+
 // defaultWindow is the window assumed for a peer that has no receive
 // buffer to fill (remote endpoints deliver straight into callbacks) —
 // effectively "no flow-control limit".
@@ -94,10 +135,11 @@ const defaultWindow = 1 << 16
 // embed one.
 type sendFlow struct {
 	nextSeq uint64
-	unacked []Packet
-	queued  []Packet // submitted but unsequenced: waiting for window
-	wnd     int      // peer's advertised receive window, in packets
-	wndAck  uint64   // newest cumulative ack that updated the window
+	unacked fifo.Queue[Packet]
+	queued  fifo.Queue[Packet] // submitted but unsequenced: waiting for window
+	wnd     int                // peer's advertised receive window, in packets
+	wndAck  uint64             // newest cumulative ack that updated the window
+	out     []Packet           // drain's result, reused
 }
 
 // window returns the usable window. A zero advertisement degrades to a
@@ -115,24 +157,26 @@ func (s *sendFlow) window() int {
 // submit accepts one DATA or FIN packet and returns the packets now
 // sendable (sequence-stamped, retained for retransmission). A closed
 // window queues the submission instead; acks release it later via drain.
+// The result is valid until the flow's next submit or drain.
 func (s *sendFlow) submit(p Packet) []Packet {
-	s.queued = append(s.queued, p)
+	s.queued.Push(p)
 	return s.drain()
 }
 
 // drain moves queued packets into the window, stamping sequence numbers
-// in submission order, and returns the ones to transmit now.
+// in submission order, and returns the ones to transmit now (valid until
+// the next submit or drain).
 func (s *sendFlow) drain() []Packet {
-	var out []Packet
-	for len(s.queued) > 0 && len(s.unacked) < s.window() {
-		p := s.queued[0]
-		s.queued = s.queued[1:]
+	clear(s.out)
+	s.out = s.out[:0]
+	for s.queued.Len() > 0 && s.unacked.Len() < s.window() {
+		p := s.queued.Pop()
 		s.nextSeq++
 		p.Seq = s.nextSeq
-		s.unacked = append(s.unacked, p)
-		out = append(out, p)
+		s.unacked.Push(p)
+		s.out = append(s.out, p)
 	}
-	return out
+	return s.out
 }
 
 // setWindow records the peer's advertised window, ignoring updates
@@ -152,31 +196,35 @@ func (s *sendFlow) setWindow(w int, ack uint64) {
 // ack drops packets covered by the cumulative ack and reports whether
 // anything is still outstanding (in flight or queued behind the window).
 func (s *sendFlow) ack(cum uint64) (outstanding bool) {
+	un := s.unacked.Items()
 	i := 0
-	for i < len(s.unacked) && s.unacked[i].Seq <= cum {
+	for i < len(un) && un[i].Seq <= cum {
 		i++
 	}
-	s.unacked = s.unacked[i:]
-	return len(s.unacked) > 0 || len(s.queued) > 0
+	s.unacked.Drop(i)
+	return s.unacked.Len() > 0 || s.queued.Len() > 0
 }
 
-// pending returns the unacknowledged in-flight packets, oldest first.
-// Queued-behind-window packets are not pending: they have no sequence
-// number yet and must not be retransmitted.
-func (s *sendFlow) pending() []Packet { return s.unacked }
+// pending returns the unacknowledged in-flight packets, oldest first
+// (valid until the flow next changes). Queued-behind-window packets are
+// not pending: they have no sequence number yet and must not be
+// retransmitted.
+func (s *sendFlow) pending() []Packet { return s.unacked.Items() }
 
 // done reports whether every submission has been sent and acknowledged.
-func (s *sendFlow) done() bool { return len(s.unacked) == 0 && len(s.queued) == 0 }
+func (s *sendFlow) done() bool { return s.unacked.Len() == 0 && s.queued.Len() == 0 }
 
 // recvFlow is the receiving half: it reassembles the sequence space,
 // holding out-of-order arrivals until the gap fills.
 type recvFlow struct {
 	next uint64 // next expected seq (first is 1)
 	held map[uint64]Packet
+	run  []Packet // accept's result, reused
 }
 
 // accept processes one sequenced packet and returns the run of packets
 // now deliverable in order (nil for duplicates and out-of-order holds).
+// The run is valid until the next accept.
 func (r *recvFlow) accept(p Packet) []Packet {
 	if r.next == 0 {
 		r.next = 1
@@ -191,7 +239,8 @@ func (r *recvFlow) accept(p Packet) []Packet {
 		r.held[p.Seq] = p
 		return nil
 	}
-	run := []Packet{p}
+	clear(r.run)
+	run := append(r.run[:0], p)
 	r.next++
 	for {
 		q, ok := r.held[r.next]
@@ -202,6 +251,7 @@ func (r *recvFlow) accept(p Packet) []Packet {
 		run = append(run, q)
 		r.next++
 	}
+	r.run = run
 	return run
 }
 

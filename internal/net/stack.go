@@ -60,15 +60,6 @@ func (p *StackParams) fill() {
 	}
 }
 
-// rxFrame is the kernel request argument for a received frame.
-type rxFrame struct {
-	Queue int
-	Pkt   Packet
-}
-
-// MsgBytes implements core.Sized.
-func (r rxFrame) MsgBytes() int { return r.Pkt.MsgBytes() }
-
 // txReq is the kernel request argument for an application send.
 type txReq struct {
 	Payload core.Msg
@@ -92,6 +83,8 @@ type stackConn struct {
 	finSent, finRcvd bool
 	retries          int
 	rto              sim.Timer
+	rtoFrom          int      // core that armed rto: the timeout's sender
+	rtoFn            func()   // fires rto back into the shard, bound once
 	lastRx           sim.Time // last packet seen; idle sweep reaps silence
 }
 
@@ -111,7 +104,8 @@ type shardState struct {
 	id         int
 	conns      map[ConnID]*stackConn
 	closed     map[ConnID]closedRec
-	sweepArmed bool // an idle sweep is scheduled
+	sweepArmed bool    // an idle sweep is scheduled
+	pkts       pktPool // packets this shard transmits
 
 	// m is this shard's private metric set: incremented freely on the
 	// shard's handler thread, folded only when statd sweeps by (see
@@ -206,13 +200,14 @@ func NewStack(rt *core.Runtime, k *kernel.Kernel, nic *machine.NIC, p StackParam
 	s := &Stack{rt: rt, k: k, nic: nic, P: p, listeners: make(map[int]*Listener)}
 	s.svc = k.RegisterEach("net", p.Shards, s.shardHandler)
 	nic.OnReceive(func(queue int, f machine.Frame) {
-		pkt, ok := f.Payload.(Packet)
+		q, ok := f.Payload.(*pkt)
 		if !ok {
 			nic.RxDone(queue)
 			return
 		}
-		rt.InjectSend(s.shardChan(pkt.Conn), kernel.Request{
-			Op: "rx", Key: int(pkt.Conn), Arg: rxFrame{Queue: queue, Pkt: pkt},
+		q.queue = queue
+		rt.InjectSend(s.shardChan(q.Conn), kernel.Request{
+			Op: "rx", Key: int(q.Conn), Arg: q,
 		}, queue%rt.NumCores())
 	})
 	return s
@@ -256,10 +251,13 @@ func (s *Stack) shardHandler(shard int) kernel.Handler {
 	return func(t *core.Thread, req kernel.Request) core.Msg {
 		switch req.Op {
 		case "rx":
-			a := req.Arg.(rxFrame)
-			s.nic.RxDone(a.Queue)
+			// The packet's buffer goes back with its RX descriptor.
+			q := req.Arg.(*pkt)
+			p := q.Packet
+			s.nic.RxDone(q.queue)
+			q.release()
 			t.Compute(s.P.RxIRQCycles)
-			s.rx(t, st, a.Pkt)
+			s.rx(t, st, p)
 		case "tx":
 			a := req.Arg.(txReq)
 			c := st.conns[ConnID(req.Key)]
@@ -349,6 +347,9 @@ func (s *Stack) rx(t *core.Thread, st *shardState, p Packet) {
 			snd:    sendFlow{wnd: defaultWindow},
 			recvCh: t.NewChan(fmt.Sprintf("conn.%d.recv", p.Conn), s.P.RecvBuf),
 			lastRx: s.rt.Eng.Now(),
+		}
+		c.rtoFn = func() {
+			s.rt.InjectSend(s.shardChan(c.id), kernel.Request{Op: "rto", Key: int(c.id)}, c.rtoFrom)
 		}
 		conn := &Conn{id: p.Conn, port: p.Port, stack: s, recv: c.recvCh}
 		if !l.accept.TrySend(t, conn) {
@@ -468,11 +469,11 @@ func (s *Stack) retire(st *shardState, c *stackConn, clean bool) {
 // goes on the wire now (tracked for retransmission), the rest queues
 // until acks reopen the window.
 func (s *Stack) sendSeq(t *core.Thread, st *shardState, c *stackConn, p Packet) {
-	wasQueued := len(c.snd.queued)
+	wasQueued := c.snd.queued.Len()
 	for _, q := range c.snd.submit(p) {
 		s.transmit(t, st, q)
 	}
-	if len(c.snd.queued) > wasQueued {
+	if c.snd.queued.Len() > wasQueued {
 		// The peer's advertised window blocked this submission: the
 		// packet waits for an ack to reopen it. Counted per stalled
 		// submission, so the rate tracks how often senders outrun
@@ -492,7 +493,7 @@ func (s *Stack) transmit(t *core.Thread, st *shardState, p Packet) {
 	s.nic.Transmit(machine.Frame{
 		Queue:   t.Core() % s.nic.Queues(),
 		Bytes:   p.MsgBytes(),
-		Payload: p,
+		Payload: st.pkts.get(p),
 	})
 }
 
@@ -503,10 +504,8 @@ func (s *Stack) armRTO(t *core.Thread, c *stackConn) {
 	if c.rto.Pending() {
 		return
 	}
-	id, from := c.id, t.Core()
-	c.rto = s.rt.Eng.After(rtoAfter(s.P.RTOCycles, c.retries), func() {
-		s.rt.InjectSend(s.shardChan(id), kernel.Request{Op: "rto", Key: int(id)}, from)
-	})
+	c.rtoFrom = t.Core()
+	c.rto = s.rt.Eng.After(rtoAfter(s.P.RTOCycles, c.retries), c.rtoFn)
 }
 
 func (s *Stack) clearRTO(c *stackConn) { s.rt.Eng.Cancel(c.rto) }

@@ -1,6 +1,9 @@
 package net
 
-import "chanos/internal/telemetry"
+import (
+	"chanos/internal/sim/detmap"
+	"chanos/internal/telemetry"
+)
 
 // StackCounters is one netstack shard's counter set. Every field is an
 // exported uint64 so telemetry.EmitCounters / SumCounters can walk it
@@ -43,9 +46,9 @@ func (s *Stack) CollectShard(shard int, emit func(telemetry.Value)) {
 	}
 	telemetry.EmitCounters(&st.m, emit)
 	var held, queued int
-	for _, c := range st.conns {
+	for _, c := range detmap.Sorted(st.conns) {
 		held += len(c.rcv.held)
-		queued += len(c.snd.queued)
+		queued += c.snd.queued.Len()
 	}
 	emit(telemetry.Gauge("Conns", uint64(len(st.conns))))
 	emit(telemetry.Gauge("TimeWait", uint64(len(st.closed))))
