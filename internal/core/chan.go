@@ -185,7 +185,7 @@ func (rt *Runtime) closeChan(c *Chan) {
 		w := r.w
 		if w.t != nil && w.choice == nil {
 			w.removed = true
-			rt.killThread(w.t, fmt.Errorf("%w: %s", ErrSendClosed, c.name))
+			w.t.kill(fmt.Errorf("%w: %s", ErrSendClosed, c.name))
 		} else if w.t == nil {
 			rt.freeWaiter(w)
 		}
@@ -201,7 +201,7 @@ func (rt *Runtime) closeChan(c *Chan) {
 			if w.choice != nil {
 				w.choice.done = true
 			}
-			rt.arm(w.t, now, kWake).res = opResult{idx: w.idx, ok: false, ready: true}
+			w.t.arm(now, kWake).res = opResult{idx: w.idx, ok: false, ready: true}
 		}
 		c.recvq.Reset()
 	}
@@ -349,7 +349,7 @@ func (rt *Runtime) traceMsg(c *Chan, from, to int, at uint64) {
 // deliverToReceiver completes a receive waiter with v at time `when`.
 func (rt *Runtime) deliverToReceiver(r *waiter, v Msg, when uint64) {
 	r.t.received++
-	rt.arm(r.t, when, kWake).res = opResult{val: v, ok: true, ready: true, idx: r.idx}
+	r.t.arm(when, kWake).res = opResult{val: v, ok: true, ready: true, idx: r.idx}
 }
 
 // opSend processes a send (or try-send) op for thread t.
@@ -359,13 +359,13 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 
 	if o.try && !c.sendReady() {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.arm(t, end, kResume)
+		t.arm(end, kResume)
 		return
 	}
 	if c.closed {
 		// Fault the sender. It currently owns its core; unwind it.
 		rt.releaseCore(t)
-		rt.killThread(t, fmt.Errorf("%w: %s", ErrSendClosed, c.name))
+		t.kill(fmt.Errorf("%w: %s", ErrSendClosed, c.name))
 		return
 	}
 
@@ -391,7 +391,7 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 
 // armSend schedules the completion of t's send once its cost is paid.
 func (rt *Runtime) armSend(t *Thread, end uint64, c *Chan, v Msg, bytes, idx int) {
-	k := rt.arm(t, end, kSend)
+	k := t.arm(end, kSend)
 	k.ch, k.val, k.bytes, k.idx = c, v, bytes, idx
 }
 
@@ -415,7 +415,7 @@ func (rt *Runtime) finishSendIdx(t *Thread, c *Chan, v Msg, bytes int, idx int) 
 			rt.stats.Rendezvous++
 			t.state = tBlocked
 			rt.releaseCore(t)
-			rt.arm(t, arrival, kWake).res = doneRes
+			t.arm(arrival, kWake).res = doneRes
 		} else {
 			rt.resumeInPlace(t, doneRes)
 		}
@@ -450,7 +450,7 @@ func (rt *Runtime) opRecv(t *Thread, o op) {
 
 	if o.try && !c.recvReady() {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.arm(t, end, kResume)
+		t.arm(end, kResume)
 		return
 	}
 
@@ -460,7 +460,7 @@ func (rt *Runtime) opRecv(t *Thread, o op) {
 
 // armRecv schedules the completion of t's receive once its cost is paid.
 func (rt *Runtime) armRecv(t *Thread, end uint64, c *Chan, idx int) {
-	k := rt.arm(t, end, kRecv)
+	k := t.arm(end, kRecv)
 	k.ch, k.idx = c, idx
 }
 
@@ -489,7 +489,7 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		t.state = tBlocked
 		rt.releaseCore(t)
 		rt.traceMsg(c, e.from, t.core, now+transit)
-		rt.arm(t, now+transit, kWake).res = opResult{val: e.val, ok: true, ready: true, idx: ci}
+		t.arm(now+transit, kWake).res = opResult{val: e.val, ok: true, ready: true, idx: ci}
 		return
 	}
 	if s := c.popSend(); s != nil {
@@ -502,7 +502,7 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 			t.received++
 			t.state = tBlocked
 			rt.releaseCore(t)
-			rt.arm(t, now+transit, kWake).res = opResult{val: v, ok: true, ready: true, idx: ci}
+			t.arm(now+transit, kWake).res = opResult{val: v, ok: true, ready: true, idx: ci}
 			return
 		}
 		// Rendezvous with a blocked sender (or a choice send case).
@@ -512,11 +512,11 @@ func (rt *Runtime) finishRecvIdx(t *Thread, c *Chan, idx int) {
 		rt.traceMsg(c, s.t.core, t.core, arrival)
 		rt.stats.Rendezvous++
 		v := s.val
-		rt.arm(s.t, arrival, kWake).res = opResult{ready: true, ok: true, idx: s.idx}
+		s.t.arm(arrival, kWake).res = opResult{ready: true, ok: true, idx: s.idx}
 		t.received++
 		t.state = tBlocked
 		rt.releaseCore(t)
-		rt.arm(t, arrival, kWake).res = opResult{val: v, ok: true, ready: true, idx: ci}
+		t.arm(arrival, kWake).res = opResult{val: v, ok: true, ready: true, idx: ci}
 		return
 	}
 	if c.closed {
@@ -545,7 +545,7 @@ func (rt *Runtime) promoteSender(c *Chan, s *waiter, now uint64) {
 		return
 	}
 	c.buf.Push(bufEntry{val: s.val, from: s.t.core})
-	rt.arm(s.t, now, kWake).res = opResult{ready: true, ok: true, idx: s.idx}
+	s.t.arm(now, kWake).res = opResult{ready: true, ok: true, idx: s.idx}
 }
 
 // Call implements the paper's RPC idiom: "c <- (a, b, c1); r <- c1" — send

@@ -53,7 +53,7 @@ func (rt *Runtime) opChoose(t *Thread, o op) {
 	rt.stats.Chooses++
 	setup := rt.Cfg.ChooseSetup + uint64(len(o.cases))*rt.Cfg.ChooseCase
 	_, end := rt.M.Core(t.core).Reserve(rt.Eng.Now(), setup)
-	k := rt.arm(t, end, kChoose)
+	k := t.arm(end, kChoose)
 	k.cases, k.hasDef = o.cases, o.hasDef
 }
 
@@ -118,7 +118,7 @@ func (rt *Runtime) evalChoice(t *Thread, cases []Case, hasDef bool) {
 		// the thread's core each round — the "wasted cycles" strategy.
 		t.state = tBlocked
 		rt.releaseCore(t)
-		rt.arm(t, rt.Eng.Now()+rt.Cfg.PollInterval, kPoll).cases = cases
+		t.arm(rt.Eng.Now()+rt.Cfg.PollInterval, kPoll).cases = cases
 	default:
 		panic("core: unknown choose implementation")
 	}
@@ -132,7 +132,7 @@ func (rt *Runtime) poll(t *Thread, cases []Case) {
 	rt.stats.ChoosePolls++
 	cost := rt.Cfg.PollCost * uint64(len(cases))
 	_, end := rt.M.Core(t.core).Reserve(rt.Eng.Now(), cost)
-	rt.arm(t, end, kPollCheck).cases = cases
+	t.arm(end, kPollCheck).cases = cases
 }
 
 // pollCheck looks for a ready case once a poll is paid, and either
@@ -149,11 +149,11 @@ func (rt *Runtime) pollCheck(t *Thread, cases []Case) {
 			// queueing.
 			t.pending = opResult{}
 			t.state = tBlocked
-			rt.arm(t, rt.Eng.Now(), kRePoll).cases = cases
+			t.arm(rt.Eng.Now(), kRePoll).cases = cases
 			return
 		}
 	}
-	rt.arm(t, rt.Eng.Now()+rt.Cfg.PollInterval, kPoll).cases = cases
+	t.arm(rt.Eng.Now()+rt.Cfg.PollInterval, kPoll).cases = cases
 }
 
 // evalChoiceOnCore claims the thread's core and evaluates the choice
@@ -162,7 +162,7 @@ func (rt *Runtime) evalChoiceOnCore(t *Thread, cases []Case) {
 	cs := rt.cores[t.core]
 	if cs.cur != nil && cs.cur != t {
 		// Core busy: retry when it frees — rare; just poll again shortly.
-		rt.arm(t, rt.Eng.Now()+rt.Cfg.PollInterval, kPollRetry).cases = cases
+		t.arm(rt.Eng.Now()+rt.Cfg.PollInterval, kPollRetry).cases = cases
 		return
 	}
 	if cs.cur == nil {
@@ -183,7 +183,7 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	// Send case.
 	if cs.Ch.closed {
 		rt.releaseCore(t)
-		rt.killThread(t, ErrSendClosed)
+		t.kill(ErrSendClosed)
 		return
 	}
 	v := cs.Val

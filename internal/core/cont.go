@@ -47,7 +47,6 @@ const (
 // wakes it). arm asserts this: a second continuation is a runtime bug.
 type cont struct {
 	kind   contKind
-	rt     *Runtime // runtime that armed the continuation and runs it
 	timer  sim.Timer
 	res    opResult // kDispatch, kSleep, kWake, kResume, kSpawn
 	ch     *Chan    // kSend, kRecv, kClose
@@ -60,13 +59,16 @@ type cont struct {
 }
 
 // arm schedules t's continuation at `at` and returns the slot for the
-// caller to fill. It panics if t already has one outstanding.
-func (rt *Runtime) arm(t *Thread, at sim.Time, kind contKind) *cont {
+// caller to fill. It panics if t already has one outstanding. The
+// continuation runs on t's own runtime whoever arms it: a sender on one
+// machine completing a receive on another wakes the receiver on the
+// receiver's machine.
+func (t *Thread) arm(at sim.Time, kind contKind) *cont {
 	if t.k.kind != kNone {
 		panic(fmt.Sprintf("core: thread %q armed a second continuation (kind %d, pending %d)", t.name, kind, t.k.kind))
 	}
-	t.k.kind, t.k.rt = kind, rt
-	t.k.timer = rt.Eng.At(at, t.kfn)
+	t.k.kind = kind
+	t.k.timer = t.rt.Eng.At(at, t.kfn)
 	return &t.k
 }
 
@@ -111,7 +113,7 @@ func (t *Thread) fire() {
 	}
 	k := t.k
 	t.k = cont{}
-	k.rt.runCont(t, &k)
+	t.rt.runCont(t, &k)
 }
 
 // fireOrphan runs the thread-independent effects of a continuation
@@ -123,16 +125,15 @@ func (t *Thread) fireOrphan() {
 	}
 	k := t.orphans[i]
 	t.orphans = append(t.orphans[:i], t.orphans[i+1:]...)
-	rt := k.rt
 	switch k.kind {
 	case kSpawn:
-		rt.makeReady(k.res.thread)
+		t.rt.makeReady(k.res.thread)
 	case kClose:
-		rt.closeChan(k.ch)
+		t.rt.closeChan(k.ch)
 	case kKill:
-		rt.killThread(k.peer, ErrKilled)
+		k.peer.kill(ErrKilled)
 	case kUnpark:
-		rt.unpark(k.peer)
+		k.peer.unpark()
 	}
 }
 
@@ -159,7 +160,7 @@ func (rt *Runtime) runCont(t *Thread, k *cont) {
 		}
 		rt.resumeThread(t, opResult{})
 	case kSleep, kWake:
-		rt.wakeWith(t, k.res)
+		t.wakeWith(k.res)
 	case kResume:
 		rt.resumeInPlace(t, k.res)
 	case kSpawn:
@@ -177,10 +178,10 @@ func (rt *Runtime) runCont(t *Thread, k *cont) {
 		rt.closeChan(k.ch)
 		rt.resumeInPlace(t, opResult{})
 	case kKill:
-		rt.killThread(k.peer, ErrKilled)
+		k.peer.kill(ErrKilled)
 		rt.resumeInPlace(t, opResult{})
 	case kUnpark:
-		rt.unpark(k.peer)
+		k.peer.unpark()
 		rt.resumeInPlace(t, opResult{})
 	case kPoll:
 		rt.poll(t, k.cases)

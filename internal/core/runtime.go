@@ -267,7 +267,7 @@ func (rt *Runtime) Boot(name string, fn func(*Thread), opts ...SpawnOpt) *Thread
 		o(&req)
 	}
 	t := rt.newThread(&req)
-	rt.arm(t, rt.Eng.Now(), kReady)
+	t.arm(rt.Eng.Now(), kReady)
 	return t
 }
 
@@ -313,7 +313,7 @@ func (rt *Runtime) Shutdown() {
 	sort.Ints(ids)
 	for _, id := range ids {
 		if t, ok := rt.threads[id]; ok && t.state != tDead {
-			rt.killThread(t, ErrKilled)
+			t.kill(ErrKilled)
 		}
 	}
 }
@@ -423,7 +423,7 @@ func (rt *Runtime) dispatch(cs *coreState) {
 		rt.resumeThread(t, res)
 		return
 	}
-	rt.arm(t, end, kDispatch).res = res
+	t.arm(end, kDispatch).res = res
 }
 
 // releaseCore detaches t from its core (if it owns it) and redistributes.
@@ -439,7 +439,7 @@ func (rt *Runtime) releaseCore(t *Thread) {
 }
 
 // resumeThread switches to t's body until its next operation, and
-// processes it. This (with killThread's unwind) is the only place user
+// processes it. This (with kill's unwind) is the only place user
 // code runs.
 func (rt *Runtime) resumeThread(t *Thread, res opResult) {
 	if t.state == tDead {
@@ -457,12 +457,12 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 	switch o.kind {
 	case opCompute:
 		_, end := rt.M.Core(t.core).Reserve(now, o.cycles)
-		rt.arm(t, end, kCompute)
+		t.arm(end, kCompute)
 
 	case opSleep:
 		t.state = tBlocked
 		rt.releaseCore(t)
-		rt.arm(t, now+o.cycles, kSleep)
+		t.arm(now+o.cycles, kSleep)
 
 	case opYield:
 		t.pending = opResult{}
@@ -485,7 +485,7 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 	case opSpawn:
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.SpawnCost)
 		child := rt.newThread(o.spawn)
-		rt.arm(t, end, kSpawn).res = opResult{thread: child}
+		t.arm(end, kSpawn).res = opResult{thread: child}
 
 	case opSend:
 		rt.opSend(t, o)
@@ -498,11 +498,11 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 
 	case opClose:
 		_, end := rt.M.Core(t.core).Reserve(now, rt.Cfg.PollCost)
-		rt.arm(t, end, kClose).ch = o.ch
+		t.arm(end, kClose).ch = o.ch
 
 	case opKill:
 		_, end := rt.M.Core(t.core).Reserve(now, 30)
-		rt.arm(t, end, kKill).peer = o.victim
+		t.arm(end, kKill).peer = o.victim
 
 	case opPark:
 		if t.permit {
@@ -516,7 +516,7 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 
 	case opUnpark:
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.WakeCost)
-		rt.arm(t, end, kUnpark).peer = o.victim
+		t.arm(end, kUnpark).peer = o.victim
 
 	case opExit:
 		rt.threadExit(t, o.exit)
@@ -529,25 +529,25 @@ func (rt *Runtime) handleOp(t *Thread, o op) {
 // wakeWith makes a blocked thread runnable with an op result to deliver.
 // A thread waits on at most one operation, so any wake clears its wait
 // registrations.
-func (rt *Runtime) wakeWith(t *Thread, res opResult) {
+func (t *Thread) wakeWith(res opResult) {
 	if t.state == tDead {
 		return
 	}
 	t.cancelWaits()
 	t.pending = res
-	rt.makeReady(t)
+	t.rt.makeReady(t)
 }
 
-// unpark wakes v from Park, or banks a permit if it is not parked.
-func (rt *Runtime) unpark(v *Thread) {
-	if v.state == tDead {
+// unpark wakes t from Park, or banks a permit if it is not parked.
+func (t *Thread) unpark() {
+	if t.state == tDead {
 		return
 	}
-	if v.parked {
-		v.parked = false
-		rt.wakeWith(v, opResult{})
+	if t.parked {
+		t.parked = false
+		t.wakeWith(opResult{})
 	} else {
-		v.permit = true
+		t.permit = true
 	}
 }
 

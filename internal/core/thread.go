@@ -359,7 +359,7 @@ func (rt *Runtime) threadExit(t *Thread, reason error) {
 			if peer.trapExits != nil {
 				rt.InjectSend(peer.trapExits, rt.exitNotice(t), t.core)
 			} else {
-				rt.killThread(peer, ErrLinkedExit)
+				peer.kill(ErrLinkedExit)
 			}
 		}
 	}
@@ -390,14 +390,15 @@ func (rt *Runtime) notifyExit(t *Thread, ch *Chan) {
 	rt.InjectSend(ch, rt.exitNotice(t), t.core)
 }
 
-// killThread forcibly unwinds a thread from the engine side. The victim's
-// body is resumed with a poison result, which panics through user code
-// (running deferred cleanup is intentionally NOT modelled — this is
-// fail-stop) and posts opExit.
-func (rt *Runtime) killThread(t *Thread, reason error) {
+// kill forcibly unwinds a thread from the engine side, on the thread's
+// own runtime. The victim's body is resumed with a poison result, which
+// panics through user code (running deferred cleanup is intentionally
+// NOT modelled — this is fail-stop) and posts opExit.
+func (t *Thread) kill(reason error) {
 	if t.state == tDead {
 		return
 	}
+	rt := t.rt
 	rt.stats.Kills++
 	t.dropCont()
 	t.cancelWaits()
