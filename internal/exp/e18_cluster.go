@@ -182,9 +182,12 @@ func e18Scaling(o Options, seed uint64) *stats.Table {
 		for drove := sim.Time(0); drove < window; drove += 100_000 {
 			c.RunFor(100_000)
 		}
+		// Read the fleet's count before the audit: the fleet keeps
+		// running while the audit drives the cluster.
+		ops := pool.Ops
 		audKeys, audLost := e18Audit(c, pool)
 		st.AddRow(fmt.Sprint(nodes), fmt.Sprint(nodes*(1+e18RF)), fmt.Sprint(clients),
-			fmt.Sprint(pool.Ops), stats.F(float64(pool.Ops)/c.Nodes[0].M.Seconds(window)),
+			fmt.Sprint(ops), stats.F(float64(ops)/c.Nodes[0].M.Seconds(window)),
 			fmt.Sprint(pool.Moved), fmt.Sprint(pool.Lost), fmt.Sprint(pool.Errs),
 			fmt.Sprint(audKeys), fmt.Sprint(audLost))
 		c.Shutdown()

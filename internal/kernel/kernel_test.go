@@ -216,3 +216,44 @@ func TestNullSyscallCheaperThanTrap(t *testing.T) {
 		t.Fatalf("message syscall %d cycles >= trap cost %d", perCall, trapCost)
 	}
 }
+
+// Thread ids are per runtime, so a caller on another machine can share
+// an id with a caller on this one. Their synchronous calls must still
+// get separate reply channels, each caller its own answer.
+func TestCallFromAnotherRuntimeKeepsItsOwnReply(t *testing.T) {
+	eng := sim.NewEngine()
+	local := core.NewRuntime(machine.New(eng, machine.DefaultParams(4)), core.Config{Seed: 17})
+	remote := core.NewRuntime(machine.New(eng, machine.DefaultParams(4)), core.Config{Seed: 17})
+	t.Cleanup(local.Shutdown)
+	t.Cleanup(remote.Shutdown)
+	k := New(local, Config{})
+	// a's calls are slow and b's fast, so b's reply comes back while a
+	// is still waiting for its own.
+	k.Register("echo", 2, func(t *core.Thread, req Request) core.Msg {
+		t.Sleep(uint64(5000 - 4000*req.Key))
+		return req.Arg
+	})
+	remote.Boot("pad0", func(*core.Thread) {}) // align the callers' ids
+	remote.Boot("pad1", func(*core.Thread) {})
+	got := map[string]core.Msg{}
+	call := func(name string, key int) func(*core.Thread) {
+		return func(t *core.Thread) {
+			for i := 0; i < 3; i++ {
+				arg := name + string(rune('0'+i))
+				if v := k.Call(t, "echo", key, "get", arg); v != arg {
+					got[name] = v
+					return
+				}
+			}
+		}
+	}
+	a := local.Boot("a", call("a", 0))
+	b := remote.Boot("b", call("b", 1))
+	if a.ID() != b.ID() {
+		t.Fatalf("callers have ids %d and %d; the test needs them equal", a.ID(), b.ID())
+	}
+	eng.Run()
+	if len(got) != 0 {
+		t.Fatalf("callers received other callers' replies: %v", got)
+	}
+}
