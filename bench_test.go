@@ -95,9 +95,11 @@ func BenchmarkRuntimeSendRecv(b *testing.B) {
 	}, chanos.OnCore(0))
 	b.ReportAllocs()
 	b.ResetTimer()
-	// Drive the engine for as many events as b.N sends require.
+	// Drive the engine event by event until b.N sends have been made:
+	// coarser slices overshoot b.N, which inflates every per-op figure
+	// at small -benchtime counts.
 	for n < b.N {
-		sys.RunFor(1_000_000)
+		sys.Eng.Step()
 	}
 	b.StopTimer()
 	stop = true

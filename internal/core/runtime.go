@@ -13,6 +13,14 @@
 // The result is a cooperatively-scheduled M:N runtime over simulated
 // cores whose entire execution is reproducible from a seed.
 //
+// A message hop allocates nothing on the host at steady state. A live
+// thread has at most one pending engine event, so its state lives in
+// the thread's continuation slot and fires through a callback bound at
+// spawn (see cont). Channel and run queues reuse their arrays, and
+// blocked operations wait as pooled waiters whose generation check
+// keeps a stale queue entry from matching a waiter's next use (see
+// waiter). DESIGN.md §core has the details.
+//
 // The API mirrors the constructs of the paper's Section 3: channels are
 // first-class values (and can themselves be sent through channels), send
 // can be blocking (rendezvous) or non-blocking (buffered), `Choose`

@@ -469,3 +469,36 @@ func TestAcceptBacklogSheds(t *testing.T) {
 		t.Fatal("shed clients never gave up")
 	}
 }
+
+// One request/response round trip through the netstack allocates a
+// bounded, small number of objects once the connection is warm. The
+// wire, the NIC and the stack move packets in pooled records; what is
+// left is boxing kernel requests into messages: the rx requests for the
+// client's DATA and for its ACK of the response, and the echo's send
+// (its request and its txReq argument).
+func TestRoundTripAllocs(t *testing.T) {
+	w := newTW(8, 2, DefaultWireParams(), 3)
+	defer w.rt.Shutdown()
+	w.echoServer(1000)
+	var payload core.Msg = "ping"
+	echoes := 0
+	w.nw.Dial(80, EndpointHooks{
+		OnOpen: func(ep *Endpoint) { ep.Send(payload, 64) },
+		OnMessage: func(ep *Endpoint, _ core.Msg, _ int) {
+			echoes++
+			ep.Send(payload, 64)
+		},
+	})
+	roundTrip := func() {
+		for want := echoes + 1; echoes < want; {
+			w.eng.Step()
+		}
+	}
+	for i := 0; i < 10; i++ {
+		roundTrip() // open the connection and warm the pools
+	}
+	const budget = 4
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs > budget {
+		t.Fatalf("a round trip allocates %.1f objects, want <= %d", allocs, budget)
+	}
+}

@@ -31,10 +31,6 @@ func (q *Queue[T]) Push(x T) {
 	q.buf = append(q.buf, x)
 }
 
-// Peek returns the head entry without removing it. The queue must not
-// be empty.
-func (q *Queue[T]) Peek() T { return q.buf[q.head] }
-
 // Pop removes and returns the head entry. The queue must not be empty.
 func (q *Queue[T]) Pop() T {
 	var zero T

@@ -51,6 +51,12 @@ if [ "$short" = "0" ]; then
     go -C perfbench vet ./...
     go -C perfbench test ./...
 
+    echo "== simulator microbenchmarks (host ns, bytes and allocs per op)"
+    # go test ./... only compiles the root microbenchmarks; run them once
+    # so every log shows the allocs/op figures ROADMAP's targets refer
+    # to. The thresholds live in the AllocsPerRun tests, not here.
+    go test -run '^$' -bench 'Runtime|Engine' -benchtime 2000x -benchmem .
+
     echo "== E14 netstack smoke (quick)"
     out=$(go run ./cmd/chanos-bench -run E14 -quick)
     echo "$out"
