@@ -228,9 +228,14 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 			if len(wdata) > d.P.BlockSize {
 				wdata = wdata[:d.P.BlockSize]
 			}
-			buf := make([]byte, d.P.BlockSize)
-			copy(buf, wdata)
-			d.data[blk] = buf
+			// Overwrite the block in place: every reader gets a copy,
+			// so no one else holds this buffer.
+			buf, ok := d.data[blk]
+			if !ok {
+				buf = make([]byte, d.P.BlockSize)
+				d.data[blk] = buf
+			}
+			clear(buf[copy(buf, wdata):])
 			res = Result{OK: true}
 			d.Writes++
 		}

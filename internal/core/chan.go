@@ -386,11 +386,11 @@ func (rt *Runtime) opSend(t *Thread, o op) {
 	rt.M.Core(t.core).MsgsSent++
 	rt.M.Core(t.core).BytesSent += uint64(bytes)
 
-	rt.armSend(t, end, c, v, bytes, -1)
+	t.armSend(end, c, v, bytes, -1)
 }
 
 // armSend schedules the completion of t's send once its cost is paid.
-func (rt *Runtime) armSend(t *Thread, end uint64, c *Chan, v Msg, bytes, idx int) {
+func (t *Thread) armSend(end uint64, c *Chan, v Msg, bytes, idx int) {
 	k := t.arm(end, kSend)
 	k.ch, k.val, k.bytes, k.idx = c, v, bytes, idx
 }
@@ -455,11 +455,11 @@ func (rt *Runtime) opRecv(t *Thread, o op) {
 	}
 
 	_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.MsgRecvCost)
-	rt.armRecv(t, end, c, -1)
+	t.armRecv(end, c, -1)
 }
 
 // armRecv schedules the completion of t's receive once its cost is paid.
-func (rt *Runtime) armRecv(t *Thread, end uint64, c *Chan, idx int) {
+func (t *Thread) armRecv(end uint64, c *Chan, idx int) {
 	k := t.arm(end, kRecv)
 	k.ch, k.idx = c, idx
 }

@@ -177,7 +177,7 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	now := rt.Eng.Now()
 	if cs.Dir == RecvDir {
 		_, end := rt.M.Core(t.core).Reserve(now, rt.M.P.MsgRecvCost)
-		rt.armRecv(t, end, cs.Ch, idx)
+		t.armRecv(end, cs.Ch, idx)
 		return
 	}
 	// Send case.
@@ -200,5 +200,5 @@ func (rt *Runtime) execCase(t *Thread, cs Case, idx int) {
 	rt.stats.BytesSent += uint64(bytes)
 	cs.Ch.Sends++
 	t.sent++
-	rt.armSend(t, end, cs.Ch, v, bytes, idx)
+	t.armSend(end, cs.Ch, v, bytes, idx)
 }
