@@ -392,8 +392,9 @@ func (rt *Runtime) notifyExit(t *Thread, ch *Chan) {
 
 // kill forcibly unwinds a thread from the engine side, on the thread's
 // own runtime. The victim's body is resumed with a poison result, which
-// panics through user code (running deferred cleanup is intentionally
-// NOT modelled — this is fail-stop) and posts opExit.
+// panics through user code and posts opExit. The body's deferred
+// functions run as it unwinds and may post operations of their own
+// (see dropCont).
 func (t *Thread) kill(reason error) {
 	if t.state == tDead {
 		return
