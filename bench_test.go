@@ -1,7 +1,7 @@
 // Root benchmark harness: one testing.B benchmark per experiment table/
-// figure (see EXPERIMENTS.md), plus wall-clock microbenchmarks of the
-// runtime itself. Experiment benchmarks run the full experiment per
-// iteration — use -benchtime=1x for a single regeneration:
+// figure, plus wall-clock microbenchmarks of the runtime itself.
+// Experiment benchmarks run the full experiment per iteration — use
+// -benchtime=1x for a single regeneration:
 //
 //	go test -bench=BenchmarkE1 -benchtime=1x
 //	go test -bench=. -benchmem

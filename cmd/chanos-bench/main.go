@@ -1,5 +1,6 @@
 // Command chanos-bench regenerates the experiment tables and figure
-// series described in EXPERIMENTS.md.
+// series behind ARCHITECTURE.md's claim table, and checks each table's
+// contracts.
 //
 // Usage:
 //
@@ -8,13 +9,16 @@
 //	chanos-bench [-quick]    (full suite)
 //
 // -json additionally writes each experiment's tables to BENCH_<id>.json
-// (machine-readable, for CI artifacts and plotting).
+// (machine-readable, for CI artifacts and plotting). After every
+// requested experiment has run, the exit status is 1 if any table
+// reported a violated contract check.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"chanos/internal/exp"
@@ -22,51 +26,85 @@ import (
 	"chanos/internal/telemetry"
 )
 
+// experiments lists the runnable experiments; tests substitute their own.
+var experiments = exp.All
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("chanos-bench", flag.ContinueOnError)
 	var (
-		list    = flag.Bool("list", false, "list experiments")
-		runID   = flag.String("run", "", "run one experiment by id (E1..E17, A1..A4)")
-		all     = flag.Bool("all", false, "run every experiment")
-		quick   = flag.Bool("quick", false, "reduced sweeps and windows")
-		seed    = flag.Uint64("seed", 42, "simulation seed")
-		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		jsonOut = flag.Bool("json", false, "also write BENCH_<id>.json per experiment")
-		dumpDir = flag.String("dump-on-fail", "", "write a machine core dump into this directory if an experiment's invariant gate fails")
+		list    = fs.Bool("list", false, "list experiments")
+		runID   = fs.String("run", "", "run one experiment by id (E1..E19, A1..A4)")
+		all     = fs.Bool("all", false, "run every experiment")
+		quick   = fs.Bool("quick", false, "reduced sweeps and windows")
+		seed    = fs.Uint64("seed", 42, "simulation seed")
+		csv     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		jsonOut = fs.Bool("json", false, "also write BENCH_<id>.json per experiment")
+		dumpDir = fs.String("dump-on-fail", "", "write a machine core dump into this directory if an experiment's invariant gate fails")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "chanos-bench: unexpected argument %q (did you mean -run %s?)\n",
-			flag.Arg(0), flag.Arg(0))
-		os.Exit(2)
+			fs.Arg(0), fs.Arg(0))
+		return 2
 	}
 
 	o := exp.Options{Seed: *seed, Quick: *quick, DumpDir: *dumpDir}
 
+	var selected []exp.Experiment
 	switch {
 	case *list:
-		for _, e := range exp.All() {
-			fmt.Printf("%-5s %s\n", e.ID, e.Title)
+		for _, e := range experiments() {
+			fmt.Fprintf(stdout, "%-5s %s\n", e.ID, e.Title)
 		}
+		return 0
 	case *runID != "":
-		e, ok := exp.Find(*runID)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "chanos-bench: unknown experiment %q (try -list)\n", *runID)
-			os.Exit(1)
+		for _, e := range experiments() {
+			if e.ID == *runID {
+				selected = append(selected, e)
+			}
 		}
-		emit(e, o, *csv, *jsonOut)
+		if len(selected) == 0 {
+			fmt.Fprintf(os.Stderr, "chanos-bench: unknown experiment %q (try -list)\n", *runID)
+			return 1
+		}
 	case *all:
 		fallthrough
 	default:
 		// -all, or bare invocation (with or without -quick/-seed): the
 		// full suite.
-		for _, e := range exp.All() {
-			emit(e, o, *csv, *jsonOut)
+		selected = experiments()
+	}
+
+	var violations []string
+	for _, e := range selected {
+		tables, err := emit(stdout, e, o, *csv, *jsonOut)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "chanos-bench: %v\n", err)
+			return 1
+		}
+		for _, tb := range tables {
+			violations = append(violations, tb.Violations...)
 		}
 	}
+	for _, v := range violations {
+		fmt.Fprintf(os.Stderr, "chanos-bench: VIOLATED: %s\n", v)
+	}
+	if len(violations) > 0 {
+		return 1
+	}
+	return 0
 }
 
-func emit(e exp.Experiment, o exp.Options, csv, jsonOut bool) {
-	fmt.Printf("# %s — %s\n", e.ID, e.Title)
+func emit(w io.Writer, e exp.Experiment, o exp.Options, csv, jsonOut bool) ([]*stats.Table, error) {
+	fmt.Fprintf(w, "# %s — %s\n", e.ID, e.Title)
 	// Instrumented experiments hand over telemetry snapshots as they run;
 	// the last one — the final state of the last world measured — rides
 	// along in the JSON artifact.
@@ -75,15 +113,16 @@ func emit(e exp.Experiment, o exp.Options, csv, jsonOut bool) {
 	tables := e.Run(o)
 	for _, tb := range tables {
 		if csv {
-			tb.CSV(os.Stdout)
-			fmt.Println()
+			tb.CSV(w)
+			fmt.Fprintln(w)
 		} else {
-			tb.Fprint(os.Stdout)
+			tb.Fprint(w)
 		}
 	}
 	if jsonOut {
-		writeJSON(e, o, tables, snap)
+		return tables, writeJSON(w, e, o, tables, snap)
 	}
+	return tables, nil
 }
 
 // benchJSON is the stable machine-readable schema behind -json.
@@ -100,28 +139,28 @@ type benchJSON struct {
 }
 
 type tableJSON struct {
-	Title string     `json:"title"`
-	Cols  []string   `json:"cols"`
-	Rows  [][]string `json:"rows"`
-	Notes []string   `json:"notes,omitempty"`
+	Title      string     `json:"title"`
+	Cols       []string   `json:"cols"`
+	Rows       [][]string `json:"rows"`
+	Notes      []string   `json:"notes,omitempty"`
+	Violations []string   `json:"violations,omitempty"`
 }
 
-func writeJSON(e exp.Experiment, o exp.Options, tables []*stats.Table, snap *telemetry.Snapshot) {
+func writeJSON(w io.Writer, e exp.Experiment, o exp.Options, tables []*stats.Table, snap *telemetry.Snapshot) error {
 	out := benchJSON{ID: e.ID, Title: e.Title, Seed: o.Seed, Quick: o.Quick, Telemetry: snap}
 	for _, tb := range tables {
 		out.Tables = append(out.Tables, tableJSON{
-			Title: tb.Title, Cols: tb.Cols, Rows: tb.Rows, Notes: tb.Notes,
+			Title: tb.Title, Cols: tb.Cols, Rows: tb.Rows, Notes: tb.Notes, Violations: tb.Violations,
 		})
 	}
 	buf, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "chanos-bench: marshal %s: %v\n", e.ID, err)
-		os.Exit(1)
+		return fmt.Errorf("marshal %s: %v", e.ID, err)
 	}
 	name := fmt.Sprintf("BENCH_%s.json", e.ID)
 	if err := os.WriteFile(name, append(buf, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "chanos-bench: write %s: %v\n", name, err)
-		os.Exit(1)
+		return fmt.Errorf("write %s: %v", name, err)
 	}
-	fmt.Printf("wrote %s\n", name)
+	fmt.Fprintf(w, "wrote %s\n", name)
+	return nil
 }

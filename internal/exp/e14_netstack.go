@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"chanos/internal/core"
 	"chanos/internal/kernel"
@@ -97,20 +98,35 @@ func e14Netstack(o Options) []*stats.Table {
 
 	tb := stats.NewTable("E14 / netstack scaling: cores sweep (shards = kernel cores, fixed client fleet)",
 		"cores", "shards", "conns/sec", "req/sec", "p99 latency (us)", "rx drops")
-	for _, c := range coreCounts {
+	var sweep []e14Result
+	for i, c := range coreCounts {
 		r := e14Run(o, c, 0, clients, window)
 		tb.AddRow(fmt.Sprint(c), fmt.Sprint(r.shards), stats.F(r.connsPerSec), stats.F(r.reqsPerSec),
 			stats.F(r.p99Us), fmt.Sprint(r.rxDrops))
+		if i > 0 {
+			tb.Check(r.connsPerSec > sweep[i-1].connsPerSec, "conns/sec must grow with cores: %.0f @%d -> %.0f @%d",
+				sweep[i-1].connsPerSec, coreCounts[i-1], r.connsPerSec, c)
+		}
+		sweep = append(sweep, r)
 	}
+	first, last := sweep[0], sweep[len(sweep)-1]
+	tb.Check(slices.ContainsFunc(sweep, func(r e14Result) bool { return r.connsPerSec > 0 }),
+		"the netstack served zero connections in every configuration")
+	tb.Check(last.p99Us < first.p99Us, "p99 must shrink with cores: %.1fus @%d vs %.1fus @%d",
+		first.p99Us, coreCounts[0], last.p99Us, coreCounts[len(coreCounts)-1])
 	tb.Note("claim (§4): sharding kernel services by object — here by connection — is where scaling comes from")
 
 	sb := stats.NewTable(fmt.Sprintf("E14b: shard sweep at %d cores (same fleet; independent connections should not serialise)", shardCores),
 		"shards", "conns/sec", "req/sec", "p99 latency (us)", "retransmits")
+	var byShards []e14Result
 	for _, sh := range shardCounts {
 		r := e14Run(o, shardCores, sh, clients, window)
 		sb.AddRow(fmt.Sprint(sh), stats.F(r.connsPerSec), stats.F(r.reqsPerSec),
 			stats.F(r.p99Us), fmt.Sprint(r.retrans))
+		byShards = append(byShards, r)
 	}
+	sb.Check(byShards[1].reqsPerSec >= byShards[0].reqsPerSec, "2 shards (%.0f req/s) must serve at least 1 shard (%.0f req/s)",
+		byShards[1].reqsPerSec, byShards[0].reqsPerSec)
 	sb.Note("one shard is the classic single-threaded stack; adding shards parallelises per-connection work")
 	return []*stats.Table{tb, sb}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"chanos/internal/core"
 	"chanos/internal/dump"
@@ -235,11 +236,25 @@ func e15Store(o Options) []*stats.Table {
 
 	tb := stats.NewTable("E15 / store scaling: cores sweep (store shards = cores, 70% reads, fixed client fleet)",
 		"cores", "store shards", "ops/sec", "p99 latency (us)", "cache hit rate", "log flushes", "log full", "conservation")
-	for _, c := range coreCounts {
+	var sweep []e15Result
+	for i, c := range coreCounts {
 		r := e15Run(o, c, c, clients, 70, window)
 		tb.AddRow(fmt.Sprint(c), fmt.Sprint(r.shards), stats.F(r.opsPerSec), stats.F(r.p99Us),
 			fmt.Sprintf("%.2f", r.hitRate), fmt.Sprint(r.flushes), fmt.Sprint(r.logFull), consCell(r.consBad))
+		tb.Check(r.consBad == 0, "%d cores: the telemetry snapshot violated %d conservation laws", c, r.consBad)
+		if i > 0 {
+			tb.Check(r.opsPerSec > sweep[i-1].opsPerSec, "ops/sec must grow with cores: %.0f @%d -> %.0f @%d",
+				sweep[i-1].opsPerSec, coreCounts[i-1], r.opsPerSec, c)
+		}
+		sweep = append(sweep, r)
 	}
+	first, last := sweep[0], sweep[len(sweep)-1]
+	tb.Check(slices.ContainsFunc(sweep, func(r e15Result) bool { return r.opsPerSec > 0 }),
+		"the store served zero operations in every configuration")
+	tb.Check(last.p99Us < first.p99Us, "p99 must shrink with cores: %.1fus @%d vs %.1fus @%d",
+		first.p99Us, coreCounts[0], last.p99Us, coreCounts[len(coreCounts)-1])
+	tb.Check(first.ackedWrites > 0, "%d cores acked no writes", coreCounts[0])
+	tb.Check(last.hitRate > 0, "%d cores never hit the block cache", coreCounts[len(coreCounts)-1])
 	tb.Note("claim (§4): a stateful kernel service sharded by object — here by key — scales like the netstack did")
 	tb.Note("writes are durable before they are acknowledged (group commit); p99 includes that wait")
 	tb.Note("conservation checks the final telemetry snapshot's read/write/ack/flush balance laws (internal/telemetry)")
@@ -247,11 +262,15 @@ func e15Store(o Options) []*stats.Table {
 
 	sb := stats.NewTable(fmt.Sprintf("E15b: store shard sweep at %d cores (50/50 mix; independent keys should not serialise)", sweepCores),
 		"store shards", "ops/sec", "p99 latency (us)", "cache hit rate", "acked writes")
+	var byShards []e15Result
 	for _, sh := range shardCounts {
 		r := e15Run(o, sweepCores, sh, clients, 50, window)
 		sb.AddRow(fmt.Sprint(sh), stats.F(r.opsPerSec), stats.F(r.p99Us),
 			fmt.Sprintf("%.2f", r.hitRate), fmt.Sprint(r.ackedWrites))
+		byShards = append(byShards, r)
 	}
+	sb.Check(byShards[1].opsPerSec >= byShards[0].opsPerSec, "2 store shards (%.0f ops/s) must serve at least 1 shard (%.0f ops/s)",
+		byShards[1].opsPerSec, byShards[0].opsPerSec)
 	sb.Note("one shard is the classic single-threaded storage daemon behind a lock; shards parallelise both the index and the log devices")
 	sb.Note(pctlNote)
 
@@ -271,11 +290,15 @@ func e15Store(o Options) []*stats.Table {
 	}
 	cb := stats.NewTable("E15d / sustained churn: writes far past the log-region capacity (16 writers, 2 shards, 256 KB regions)",
 		"x capacity", "bytes written", "refused", "compactions", "live ratio", "p99 latency (us)", "ops/sec")
+	compacted := false
 	for _, mult := range mults {
 		r := e15Churn(o, mult)
 		cb.AddRow(fmt.Sprintf("%.1f", r.capMult), stats.U(r.bytesWritten), fmt.Sprint(r.refused),
 			fmt.Sprint(r.compactions), fmt.Sprintf("%.2f", r.liveRatio), stats.F(r.p99Us), stats.F(r.opsPerSec))
+		cb.Check(r.refused == 0, "%.1fx capacity: %d writes refused", r.capMult, r.refused)
+		compacted = compacted || r.compactions > 0
 	}
+	cb.Check(compacted, "the churn workload never compacted")
 	cb.Note("before compaction this workload died at ~1.0x with every further write refused; refused must stay 0")
 	cb.Note("compaction runs inside the shard as deferred self-messages — p99 stays bounded because serving never stops")
 	cb.Note(pctlNote)

@@ -195,15 +195,20 @@ func e16Repl(o Options) []*stats.Table {
 	tb := stats.NewTable("E16 / replication cost: local-only vs quorum acks (store shards = cores, 70% reads)",
 		"cores", "mode", "ops/sec", "p99 latency (us)", "acked writes", "repl batches", "repl records")
 	for _, c := range coreCounts {
-		for _, quorum := range []bool{false, true} {
-			mode := "local"
-			if quorum {
-				mode = "quorum"
-			}
-			r := e16Run(o, c, c, clients, 70, window, quorum)
+		row := func(mode string, r e16Result) {
 			tb.AddRow(fmt.Sprint(c), mode, stats.F(r.opsPerSec), stats.F(r.p99Us),
 				fmt.Sprint(r.ackedWrites), fmt.Sprint(r.replBatches), fmt.Sprint(r.replRecords))
 		}
+		local := e16Run(o, c, c, clients, 70, window, false)
+		row("local", local)
+		quorum := e16Run(o, c, c, clients, 70, window, true)
+		row("quorum", quorum)
+		tb.Check(local.replBatches == 0, "%d cores: local mode shipped %d replication batches", c, local.replBatches)
+		tb.Check(quorum.replBatches > 0 && quorum.replRecords > 0, "%d cores: quorum mode shipped nothing (%d batches, %d records)",
+			c, quorum.replBatches, quorum.replRecords)
+		tb.Check(quorum.ackedWrites > 0, "%d cores: quorum mode acked nothing", c)
+		tb.Check(quorum.p99Us > local.p99Us, "%d cores: quorum p99 (%.1fus) must exceed local p99 (%.1fus): the RTT is not free",
+			c, quorum.p99Us, local.p99Us)
 	}
 	tb.Note("quorum: a write acks only when the primary's flush AND the replica machine's append are both durable")
 	tb.Note("the p99 delta is the price of surviving machine loss: one inter-machine RTT plus the replica's group commit")
@@ -215,6 +220,8 @@ func e16Repl(o Options) []*stats.Table {
 		r := e16Kill(o, seed, killAt)
 		kb.AddRow(fmt.Sprint(seed), fmt.Sprintf("%.2f", r.killAtMs), fmt.Sprint(r.ackedPuts),
 			fmt.Sprint(r.tracked), fmt.Sprint(r.survived), fmt.Sprint(r.lost), fmt.Sprint(r.replayed))
+		kb.Check(r.ackedPuts > 0 && r.lost == 0, "seed %d: %d acked puts, %d of %d tracked keys lost",
+			seed, r.ackedPuts, r.lost, r.tracked)
 	}
 	kb.Note("the primary machine is destroyed at the kill instant; the audit store boots from the replica's platters alone")
 	kb.Note("contract: lost must be 0 — every client-acknowledged PUT recovers at >= its acknowledged version")

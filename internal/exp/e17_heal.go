@@ -348,17 +348,28 @@ func e17Heal(o Options) []*stats.Table {
 		"cycle", "attach", "heal (ms)", "sync records", "shard heals", "acked puts", "tracked keys", "survived", "lost", "quorum")
 	sb := stats.NewTable("E17c / live STATS scrape: one wire request against the healing machine",
 		"cycle", "scraped", "snapshot seq", "services", "conservation violations", "mid-heal")
-	for i, cy := range e17HealCycles(o, cycles, window) {
-		q := "no"
-		if cy.quorum {
-			q = "yes"
-		}
+	heal := e17HealCycles(o, cycles, window)
+	runtimeAttaches := 0
+	for i, cy := range heal {
 		hb.AddRow(fmt.Sprint(i+1), cy.attach, fmt.Sprintf("%.2f", cy.healMs), fmt.Sprint(cy.syncRecords),
 			fmt.Sprint(cy.heals), fmt.Sprint(cy.ackedPuts), fmt.Sprint(cy.tracked),
-			fmt.Sprint(cy.survived), fmt.Sprint(cy.lost), q)
+			fmt.Sprint(cy.survived), fmt.Sprint(cy.lost), yn(cy.quorum))
 		sb.AddRow(fmt.Sprint(i+1), yn(cy.scraped), fmt.Sprint(cy.scrapeSeq),
 			fmt.Sprint(cy.scrapeSvcs), fmt.Sprint(cy.scrapeBad), yn(cy.midHeal))
+		hb.Check(cy.quorum && cy.lost == 0 && (cy.attach != "runtime" || cy.syncRecords > 0),
+			"cycle %d (%s attach): quorum %s, lost %d of %d tracked, %d sync records",
+			i+1, cy.attach, yn(cy.quorum), cy.lost, cy.tracked, cy.syncRecords)
+		hb.Check(cy.ackedPuts > 0 && cy.tracked > 0, "cycle %d tracked no acked PUTs", i+1)
+		if cy.attach == "runtime" {
+			runtimeAttaches++
+			hb.Check(cy.heals > 0, "runtime re-attach cycle %d healed no shards", i+1)
+		}
+		sb.Check(cy.scraped && cy.scrapeBad == 0, "cycle %d: scraped %s, %d conservation violations",
+			i+1, yn(cy.scraped), cy.scrapeBad)
 	}
+	hb.Check(len(heal) >= 3 && runtimeAttaches >= 2, "%d cycles with %d runtime re-attaches; want >= 3 and >= 2",
+		len(heal), runtimeAttaches)
+	sb.Check(len(heal) >= 3, "%d scrapes; want >= 3", len(heal))
 	hb.Note("each cycle kills the primary machine; the next boots from the replica's platters alone and re-attaches a FRESH replica at runtime")
 	hb.Note("contract: quorum must read yes and lost must be 0 on every row — healing restores full durability, losing nothing ever acked")
 	sb.Note("the scrape is a normal wire request (STATS verb) from a fresh client endpoint; the snapshot is built in zero simulated cycles")
@@ -376,6 +387,9 @@ func e17Heal(o Options) []*stats.Table {
 		stats.F(base.p99Us), fmt.Sprint(base.lagged), fmt.Sprint(base.waits), "1.00")
 	rb.AddRow("replica-reads", fmt.Sprint(clients*2), stats.F(repl.getsPerSec), stats.F(repl.opsPerSec),
 		stats.F(repl.p99Us), fmt.Sprint(repl.lagged), fmt.Sprint(repl.waits), fmt.Sprintf("%.2f", ratio))
+	rb.Check(base.getsPerSec > 0, "primary-only mode served no GETs")
+	rb.Check(ratio >= 1.5, "replica reads lifted GETs/sec only %.0f -> %.0f (%.2fx, want >= 1.5x)",
+		base.getsPerSec, repl.getsPerSec, ratio)
 	rb.Note("replica-reads adds a GET-only fleet on the replica's bounded-staleness port; the primary fleet is unchanged")
 	rb.Note("lag-refused GETs hit the staleness bound (ReplicaLagBound) and would retry at the primary; durability waits parked for the replica's group commit")
 	return []*stats.Table{hb, sb, rb}

@@ -136,6 +136,10 @@ func e18Cluster(o Options) []*stats.Table {
 		pt.AddRow(p.name, fmt.Sprint(p.ops), stats.F(p.opsPerSec), fmt.Sprint(p.moved),
 			fmt.Sprint(p.failed), fmt.Sprint(p.lost), fmt.Sprint(p.errs),
 			fmt.Sprint(p.tolerated), fmt.Sprint(p.mapVer), fmt.Sprint(p.audKeys), fmt.Sprint(p.audLost))
+		pt.Check(p.lost == 0 && p.errs == 0 && p.audLost == 0 &&
+			(p.name != kill.name || p.tolerated >= 1) && (p.name != mig.name || p.mapVer == 2),
+			"%s: lost %d, errs %d, audit lost %d, tolerated %d, map ver %d",
+			p.name, p.lost, p.errs, p.audLost, p.tolerated, p.mapVer)
 	}
 	pt.Note("3 serving nodes x (1 primary + 2 replicas) = 9 machines on one engine; the fleet routes by a cached shard map and follows Moved redirects")
 	pt.Note("contract: lost, errs and audit lost are 0 on every row; minority-kill tolerates >= 1 replica loss; migration advances the map version")
@@ -190,6 +194,8 @@ func e18Scaling(o Options, seed uint64) *stats.Table {
 			fmt.Sprint(ops), stats.F(float64(ops)/c.Nodes[0].M.Seconds(window)),
 			fmt.Sprint(pool.Moved), fmt.Sprint(pool.Lost), fmt.Sprint(pool.Errs),
 			fmt.Sprint(audKeys), fmt.Sprint(audLost))
+		st.Check(pool.Lost == 0 && pool.Errs == 0 && audLost == 0, "%d nodes: lost %d, errs %d, audit lost %d",
+			nodes, pool.Lost, pool.Errs, audLost)
 		c.Shutdown()
 	}
 	st.Note("clients scale with the fabric (6 per node); contract: lost, errs and audit lost are 0 on every row")

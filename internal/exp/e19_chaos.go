@@ -31,6 +31,7 @@ func e19Chaos(o Options) []*stats.Table {
 	if err != nil {
 		t := stats.NewTable("E19 / chaos matrix", "error")
 		t.AddRow(err.Error())
+		t.Check(false, "the sweep did not run")
 		return []*stats.Table{t}
 	}
 
@@ -41,6 +42,7 @@ func e19Chaos(o Options) []*stats.Table {
 			fmt.Sprintf("%d/%d", fired, armed),
 			fmt.Sprint(by[chaos.InvAckedLoss]), fmt.Sprint(by[chaos.InvClientHang]),
 			fmt.Sprint(by[chaos.InvStaleness]), fmt.Sprint(by[chaos.InvFailStop]))
+		t.Check(red == 0, "%s: %d of %d runs red", label, red, runs)
 	}
 	var fired, armed int
 	for _, rr := range m.Rows {

@@ -1,9 +1,10 @@
 // Package exp implements the experiment suite: one function per
-// experiment (E1..E13, ablations A1..A4), each returning printable tables
-// that regenerate the "figures" and "tables" described in EXPERIMENTS.md.
+// experiment (E1..E19, ablations A1..A4), each returning printable tables.
 // The paper being a position paper has no evaluation of its own; every
-// experiment here tests a quantitative claim in its prose (see DESIGN.md
-// §3 for the claim-to-experiment mapping).
+// experiment here tests a quantitative claim in its prose (ARCHITECTURE.md
+// maps layers to experiments and the invariants they hold). A table
+// checks its claim's contracts with stats.Table.Check where it builds
+// the row, so go test and chanos-bench fail on the same violations.
 //
 // The same functions back cmd/chanos-bench and the testing.B benchmarks
 // in the repository root, so tables are reproducible from either.

@@ -217,78 +217,13 @@ func TestE10TableFlagsSeededBugs(t *testing.T) {
 	}
 }
 
-// --- E14: netstack scaling ---
-
-func TestE14NetstackScalesWithCoresAndShards(t *testing.T) {
-	window := sim.Time(4_000_000)
-	at4 := e14Run(q, 4, 0, 96, window)
-	at16 := e14Run(q, 16, 0, 96, window)
-	at64 := e14Run(q, 64, 0, 96, window)
-	if !(at4.connsPerSec < at16.connsPerSec && at16.connsPerSec < at64.connsPerSec) {
-		t.Fatalf("conns/sec should grow with cores: %.0f @4, %.0f @16, %.0f @64",
-			at4.connsPerSec, at16.connsPerSec, at64.connsPerSec)
-	}
-	if at64.p99Us >= at4.p99Us {
-		t.Fatalf("p99 should shrink with cores: %.1fus @4 vs %.1fus @64", at4.p99Us, at64.p99Us)
-	}
-	one := e14Run(q, 64, 1, 96, window)
-	two := e14Run(q, 64, 2, 96, window)
-	if two.reqsPerSec < one.reqsPerSec {
-		t.Fatalf("2 shards (%.0f req/s) should serve at least 1 shard (%.0f req/s)",
-			two.reqsPerSec, one.reqsPerSec)
-	}
-}
-
-// --- E15: store scaling ---
-
-// TestE15StoreScalesWithCores is the tentpole acceptance check: ops/sec
-// through the full client→wire→netstack→store→log path must grow
-// monotonically over a 4→64 core sweep with store shards = cores.
-func TestE15StoreScalesWithCores(t *testing.T) {
-	window := sim.Time(4_000_000)
-	at4 := e15Run(q, 4, 4, 96, 70, window)
-	at16 := e15Run(q, 16, 16, 96, 70, window)
-	at64 := e15Run(q, 64, 64, 96, 70, window)
-	if !(at4.opsPerSec < at16.opsPerSec && at16.opsPerSec < at64.opsPerSec) {
-		t.Fatalf("ops/sec should grow with cores: %.0f @4, %.0f @16, %.0f @64",
-			at4.opsPerSec, at16.opsPerSec, at64.opsPerSec)
-	}
-	if at64.p99Us >= at4.p99Us {
-		t.Fatalf("p99 should shrink with cores: %.1fus @4 vs %.1fus @64", at4.p99Us, at64.p99Us)
-	}
-	if at4.ackedWrites == 0 || at64.hitRate <= 0 {
-		t.Fatalf("store served no real traffic: %+v", at4)
-	}
-	one := e15Run(q, 64, 1, 96, 50, window)
-	two := e15Run(q, 64, 2, 96, 50, window)
-	if two.opsPerSec < one.opsPerSec {
-		t.Fatalf("2 store shards (%.0f ops/s) should serve at least 1 shard (%.0f ops/s)",
-			two.opsPerSec, one.opsPerSec)
-	}
-}
-
 // --- E16: replication ---
 
-// TestE16QuorumCostsLatencyButLosesNothing: quorum acks must cost p99
-// (an inter-machine RTT plus the replica's group commit is real work),
-// and a primary kill must lose zero acknowledged writes.
-func TestE16QuorumCostsLatencyButLosesNothing(t *testing.T) {
-	window := sim.Time(4_000_000)
-	local := e16Run(q, 16, 16, 64, 70, window, false)
-	quorum := e16Run(q, 16, 16, 64, 70, window, true)
-	if quorum.replBatches == 0 || quorum.replRecords == 0 {
-		t.Fatalf("quorum mode shipped nothing: %+v", quorum)
-	}
-	if local.replBatches != 0 {
-		t.Fatalf("local mode shipped replication batches: %+v", local)
-	}
-	if quorum.p99Us <= local.p99Us {
-		t.Fatalf("quorum p99 (%.1fus) should exceed local p99 (%.1fus): the RTT is not free",
-			quorum.p99Us, local.p99Us)
-	}
-	if quorum.ackedWrites == 0 {
-		t.Fatal("quorum mode acked nothing")
-	}
+// TestE16PrimaryKillLosesNothing: a primary kill earlier than the quick
+// table's (3M cycles, not 4M) must lose zero acknowledged writes, with
+// failover recovery replaying the replica's log. The local/quorum cost
+// contract is checked by E16's own table.
+func TestE16PrimaryKillLosesNothing(t *testing.T) {
 	kill := e16Kill(q, 42, 3_000_000)
 	if kill.ackedPuts == 0 || kill.tracked == 0 {
 		t.Fatalf("kill run tracked no acked PUTs: %+v", kill)
@@ -301,82 +236,7 @@ func TestE16QuorumCostsLatencyButLosesNothing(t *testing.T) {
 	}
 }
 
-// --- E17: quorum healing and replica reads ---
-
-// TestE17HealCyclesLoseNothing: every kill -> failover -> re-attach
-// cycle must end back at quorum having lost zero acked writes, with the
-// runtime re-attach cycles actually streaming a bootstrap image; and
-// routing GETs to the replica must lift GET throughput — the replica's
-// index is capacity, not just insurance.
-func TestE17HealCyclesLoseNothing(t *testing.T) {
-	cycles := e17HealCycles(q, 3, sim.Time(3_000_000))
-	if len(cycles) != 3 {
-		t.Fatalf("ran %d cycles, want 3", len(cycles))
-	}
-	runtimeAttaches := 0
-	for i, cy := range cycles {
-		if !cy.quorum {
-			t.Errorf("cycle %d never healed back to quorum", i+1)
-		}
-		if cy.lost != 0 {
-			t.Errorf("cycle %d lost %d acked writes (of %d tracked)", i+1, cy.lost, cy.tracked)
-		}
-		if cy.ackedPuts == 0 || cy.tracked == 0 {
-			t.Errorf("cycle %d tracked no acked PUTs: %+v", i+1, cy)
-		}
-		if cy.attach == "runtime" {
-			runtimeAttaches++
-			if cy.syncRecords == 0 {
-				t.Errorf("runtime re-attach cycle %d streamed no bootstrap image", i+1)
-			}
-			if cy.heals == 0 {
-				t.Errorf("runtime re-attach cycle %d healed no shards", i+1)
-			}
-		}
-	}
-	if runtimeAttaches < 2 {
-		t.Fatalf("only %d runtime re-attach cycles ran, want >= 2", runtimeAttaches)
-	}
-	base := e17Reads(q, 64, sim.Time(4_000_000), false)
-	repl := e17Reads(q, 64, sim.Time(4_000_000), true)
-	if base.getsPerSec == 0 {
-		t.Fatal("primary-only mode served no GETs")
-	}
-	if repl.getsPerSec < base.getsPerSec*1.5 {
-		t.Fatalf("replica reads lifted GETs/sec only %.0f -> %.0f (< 1.5x)",
-			base.getsPerSec, repl.getsPerSec)
-	}
-}
-
 // --- E18: cluster fabric ---
-
-// TestE18ClusterContract: the phase table's contract row by row — no
-// request lost or errored in any phase, the minority replica kill
-// tolerated, the migration committed (map version advanced) and the
-// acked-write audit clean throughout.
-func TestE18ClusterContract(t *testing.T) {
-	tables := e18Cluster(q)
-	if len(tables) < 2 || len(tables[0].Rows) != 3 {
-		t.Fatalf("E18 produced the wrong shape: %d tables", len(tables))
-	}
-	// cols: phase ops ops/sec moved failed lost errs tolerated map-ver audit-keys audit-lost
-	for _, row := range tables[0].Rows {
-		if row[5] != "0" || row[6] != "0" || row[10] != "0" {
-			t.Errorf("phase %s broke the contract: lost=%s errs=%s audit-lost=%s",
-				row[0], row[5], row[6], row[10])
-		}
-		switch row[0] {
-		case "minority-kill":
-			if row[7] == "0" {
-				t.Error("minority kill was never tolerated")
-			}
-		case "migration":
-			if row[8] == "1" {
-				t.Error("migration did not advance the map version")
-			}
-		}
-	}
-}
 
 // TestE18AuditFailsClosed: an audit that cannot finish inside its
 // drive budget vouches for nothing — every key counts as lost, never a
@@ -422,7 +282,7 @@ func TestRegistryComplete(t *testing.T) {
 
 // TestAllExperimentsProduceTables runs the full suite at quick scale:
 // every experiment must emit at least one table with at least one row,
-// deterministically.
+// and no table may report a violated contract check.
 func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
@@ -446,6 +306,9 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 						t.Fatalf("%s table %q row width %d != %d cols",
 							e.ID, tb.Title, len(r), len(tb.Cols))
 					}
+				}
+				for _, v := range tb.Violations {
+					t.Errorf("VIOLATED: %s", v)
 				}
 			}
 		})

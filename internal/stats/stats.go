@@ -1,7 +1,7 @@
 // Package stats provides the small measurement toolkit shared by the
 // experiment harness: log-bucketed latency histograms and aligned-text /
 // CSV table emitters that print the rows and series each experiment
-// reports.
+// reports, together with the contract checks each table makes on them.
 package stats
 
 import (
@@ -133,12 +133,14 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // Table is a titled grid of cells with optional footnotes; it renders as
-// aligned text (for the harness) or CSV (for plotting).
+// aligned text (for the harness) or CSV (for plotting). Violations holds
+// the contract checks that failed while the table was built (see Check).
 type Table struct {
-	Title string
-	Cols  []string
-	Rows  [][]string
-	Notes []string
+	Title      string
+	Cols       []string
+	Rows       [][]string
+	Notes      []string
+	Violations []string
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -156,7 +158,17 @@ func (t *Table) Note(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Fprint renders the table as aligned text.
+// Check records a contract violation, prefixed by the table title, when
+// ok is false. Experiments call it where they build a row, on the typed
+// result behind the cells, so a check cannot drift from a column name.
+func (t *Table) Check(ok bool, format string, args ...any) {
+	if !ok {
+		t.Violations = append(t.Violations, t.Title+": "+fmt.Sprintf(format, args...))
+	}
+}
+
+// Fprint renders the table as aligned text, one "VIOLATED:" line per
+// failed check after the notes.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "== %s ==\n", t.Title)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
@@ -173,6 +185,9 @@ func (t *Table) Fprint(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
+	for _, v := range t.Violations {
+		fmt.Fprintf(w, "  VIOLATED: %s\n", v)
+	}
 	fmt.Fprintln(w)
 }
 
@@ -183,7 +198,7 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// CSV renders the table (without title or notes) as comma-separated
+// CSV renders the table (without title, notes or violations) as comma-separated
 // values with minimal quoting.
 func (t *Table) CSV(w io.Writer) {
 	row := func(cells []string) {

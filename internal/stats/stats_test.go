@@ -168,3 +168,40 @@ func TestFormatters(t *testing.T) {
 		t.Errorf("Ratio = %s", Ratio(10, 4))
 	}
 }
+
+// Passing checks leave no trace in either rendering; a failing check
+// adds exactly one VIOLATED line that names the table.
+func TestCheckPrintsOnlyViolations(t *testing.T) {
+	build := func(checks ...bool) *Table {
+		tb := NewTable("T / checked", "a", "b")
+		tb.AddRow("1", "2")
+		tb.Note("a note")
+		for i, ok := range checks {
+			tb.Check(ok, "check %d", i)
+		}
+		return tb
+	}
+	render := func(tb *Table) (text, csv string) {
+		var b strings.Builder
+		tb.CSV(&b)
+		return tb.String(), b.String()
+	}
+	plainText, plainCSV := render(build())
+	passText, passCSV := render(build(true, true))
+	if passText != plainText || passCSV != plainCSV {
+		t.Fatalf("passing checks changed the output:\n%s\nvs\n%s", passText, plainText)
+	}
+
+	failed := build(true, false)
+	failText, failCSV := render(failed)
+	if failCSV != plainCSV {
+		t.Fatalf("a violation changed the CSV:\n%s", failCSV)
+	}
+	want := "  VIOLATED: T / checked: check 1\n"
+	if got := strings.Replace(failText, want, "", 1); got != plainText {
+		t.Fatalf("failing check should add exactly %q:\n%s", want, failText)
+	}
+	if len(failed.Violations) != 1 || failed.Violations[0] != "T / checked: check 1" {
+		t.Fatalf("Violations = %q", failed.Violations)
+	}
+}
