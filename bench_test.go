@@ -20,7 +20,7 @@ import (
 var benchOpts = exp.Options{Quick: true, Seed: 42}
 
 func benchExperiment(b *testing.B, id string) {
-	e, ok := exp.Find(id)
+	e, ok := exp.Find(exp.All(), id)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}

@@ -66,15 +66,12 @@ func run(args []string, stdout io.Writer) int {
 		}
 		return 0
 	case *runID != "":
-		for _, e := range experiments() {
-			if e.ID == *runID {
-				selected = append(selected, e)
-			}
-		}
-		if len(selected) == 0 {
+		e, ok := exp.Find(experiments(), *runID)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "chanos-bench: unknown experiment %q (try -list)\n", *runID)
 			return 1
 		}
+		selected = []exp.Experiment{e}
 	case *all:
 		fallthrough
 	default:

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"slices"
 
 	"chanos/internal/core"
 	"chanos/internal/kernel"
@@ -110,8 +109,6 @@ func e14Netstack(o Options) []*stats.Table {
 		sweep = append(sweep, r)
 	}
 	first, last := sweep[0], sweep[len(sweep)-1]
-	tb.Check(slices.ContainsFunc(sweep, func(r e14Result) bool { return r.connsPerSec > 0 }),
-		"the netstack served zero connections in every configuration")
 	tb.Check(last.p99Us < first.p99Us, "p99 must shrink with cores: %.1fus @%d vs %.1fus @%d",
 		first.p99Us, coreCounts[0], last.p99Us, coreCounts[len(coreCounts)-1])
 	tb.Note("claim (§4): sharding kernel services by object — here by connection — is where scaling comes from")

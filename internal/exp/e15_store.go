@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"slices"
 
 	"chanos/internal/core"
 	"chanos/internal/dump"
@@ -249,8 +248,6 @@ func e15Store(o Options) []*stats.Table {
 		sweep = append(sweep, r)
 	}
 	first, last := sweep[0], sweep[len(sweep)-1]
-	tb.Check(slices.ContainsFunc(sweep, func(r e15Result) bool { return r.opsPerSec > 0 }),
-		"the store served zero operations in every configuration")
 	tb.Check(last.p99Us < first.p99Us, "p99 must shrink with cores: %.1fus @%d vs %.1fus @%d",
 		first.p99Us, coreCounts[0], last.p99Us, coreCounts[len(coreCounts)-1])
 	tb.Check(first.ackedWrites > 0, "%d cores acked no writes", coreCounts[0])

@@ -126,7 +126,8 @@ func e18Cluster(o Options) []*stats.Table {
 	// the telemetry plane speaks wire like everything else, one level up
 	// or not.
 	dst := c.Nodes[2]
-	if snap := scrapeStats(dst.NW, dst.Port, c.RunFor); snap != nil {
+	snap := scrapeStats(dst.NW, dst.Port, c.RunFor)
+	if snap != nil {
 		o.publishSnapshot(snap)
 	}
 
@@ -141,6 +142,7 @@ func e18Cluster(o Options) []*stats.Table {
 			"%s: lost %d, errs %d, audit lost %d, tolerated %d, map ver %d",
 			p.name, p.lost, p.errs, p.audLost, p.tolerated, p.mapVer)
 	}
+	pt.Check(snap != nil, "live STATS scrape of node %d returned no snapshot", dst.ID)
 	pt.Note("3 serving nodes x (1 primary + 2 replicas) = 9 machines on one engine; the fleet routes by a cached shard map and follows Moved redirects")
 	pt.Note("contract: lost, errs and audit lost are 0 on every row; minority-kill tolerates >= 1 replica loss; migration advances the map version")
 	if rep != nil && rep.Aborted {

@@ -42,11 +42,11 @@ func e19Chaos(o Options) []*stats.Table {
 			fmt.Sprintf("%d/%d", fired, armed),
 			fmt.Sprint(by[chaos.InvAckedLoss]), fmt.Sprint(by[chaos.InvClientHang]),
 			fmt.Sprint(by[chaos.InvStaleness]), fmt.Sprint(by[chaos.InvFailStop]))
-		t.Check(red == 0, "%s: %d of %d runs red", label, red, runs)
 	}
 	var fired, armed int
 	for _, rr := range m.Rows {
 		addRow(rr.Label, rr.Runs, rr.Red, rr.ClausesFired, rr.ClausesArmed, rr.ByInvariant)
+		t.Check(rr.Red == 0, "%s: %d of %d runs red", rr.Label, rr.Red, rr.Runs)
 		fired += rr.ClausesFired
 		armed += rr.ClausesArmed
 	}

@@ -125,9 +125,9 @@ func All() []Experiment {
 	return out
 }
 
-// Find returns the experiment with the given id.
-func Find(id string) (Experiment, bool) {
-	for _, e := range registry {
+// Find returns the experiment in list with the given id.
+func Find(list []Experiment, id string) (Experiment, bool) {
+	for _, e := range list {
 		if e.ID == id {
 			return e, true
 		}
