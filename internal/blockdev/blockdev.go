@@ -22,6 +22,7 @@ import (
 	"chanos/internal/baseline"
 	"chanos/internal/core"
 	"chanos/internal/sim"
+	"chanos/internal/sim/fifo"
 )
 
 // Op is a block operation.
@@ -37,7 +38,9 @@ const (
 type Request struct {
 	Op    Op
 	Block int
-	Data  []byte // payload for writes
+	// Data is the payload of a Write. For a Read it may carry an empty
+	// buffer of capacity BlockSize for the result (see Program).
+	Data  []byte
 	Reply *core.Chan
 }
 
@@ -96,7 +99,12 @@ type Disk struct {
 	P  DiskParams
 
 	data      map[int][]byte
+	trimmed   [][]byte // platter blocks Trim released, for later writes to reuse
 	busyUntil sim.Time
+	// queued holds the programmed operations in completion order;
+	// completeFn is d.complete, bound once for their events.
+	queued     fifo.Queue[queuedOp]
+	completeFn func()
 
 	// Register-programming hazard model: the device's request registers
 	// are a critical resource; two threads programming them concurrently
@@ -121,7 +129,9 @@ func NewDisk(rt *core.Runtime, p DiskParams) *Disk {
 	if p.NumBlocks <= 0 || p.BlockSize <= 0 {
 		panic("blockdev: bad disk geometry")
 	}
-	return &Disk{rt: rt, P: p, data: make(map[int][]byte), progOwner: -1}
+	d := &Disk{rt: rt, P: p, data: make(map[int][]byte), progOwner: -1}
+	d.completeFn = d.complete
+	return d
 }
 
 // NewDiskFrom creates a disk whose initial contents are data — platters
@@ -158,7 +168,10 @@ func (d *Disk) InjectWriteFailures(n int) { d.failWrites += n }
 // a compacted log region.
 func (d *Disk) Trim(start, count int) {
 	for b := start; b < start+count; b++ {
-		delete(d.data, b)
+		if buf, ok := d.data[b]; ok {
+			d.trimmed = append(d.trimmed, buf)
+			delete(d.data, b)
+		}
 	}
 	d.Trims++
 }
@@ -173,6 +186,18 @@ const progWindow = 600
 // starting the operation; done is invoked (engine context) at completion
 // with the result. Concurrent programming by two threads is detected and
 // counted as a hazard; the losing request is corrupted (fails).
+//
+// Buffers move, they are not copied on the way in or out:
+//   - A Write owns req.Data from Program until done runs; the caller must
+//     not change those bytes before then. The platter copies them into
+//     its own block at completion, so after done the buffer is the
+//     caller's again.
+//   - A Read whose req.Data has capacity BlockSize or more returns the
+//     block in req.Data[:BlockSize]; otherwise it allocates the result.
+//     Either way Result.Data is the caller's, and nothing else holds it.
+//
+// A Driver passes its request straight through, so the same contract
+// holds for Submit and SubmitSync until the reply arrives.
 func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 	now := d.rt.Eng.Now()
 	hazard := now < d.progWindowEnd && d.progOwner != t.ID()
@@ -192,8 +217,7 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 		return
 	}
 
-	bytes := uint64(d.P.BlockSize)
-	cost := d.P.AccessCycles + bytes*d.P.CyclesPerByt
+	cost := d.P.AccessCycles + uint64(d.P.BlockSize)*d.P.CyclesPerByt
 	start := d.rt.Eng.Now()
 	if d.busyUntil > start {
 		start = d.busyUntil // device is serial: queue behind current op
@@ -201,47 +225,61 @@ func (d *Disk) Program(t *core.Thread, req Request, done func(Result)) {
 	end := start + cost
 	d.busyUntil = end
 
-	// Capture the data movement at completion time.
-	op := req.Op
-	blk := req.Block
-	var wdata []byte
-	if op == Write {
-		wdata = append([]byte(nil), req.Data...)
-	}
-	d.rt.Eng.At(end, func() {
-		var res Result
-		switch op {
-		case Read:
-			buf, ok := d.data[blk]
-			if !ok {
-				buf = make([]byte, d.P.BlockSize)
-			}
-			res = Result{OK: true, Data: append([]byte(nil), buf...)}
-			d.Reads++
-		case Write:
-			if d.failWrites > 0 {
-				d.failWrites--
-				d.WriteFailures++
-				done(Result{OK: false, Err: "injected write failure"})
-				return
-			}
-			if len(wdata) > d.P.BlockSize {
-				wdata = wdata[:d.P.BlockSize]
-			}
-			// Overwrite the block in place: every reader gets a copy,
-			// so no one else holds this buffer.
-			buf, ok := d.data[blk]
-			if !ok {
-				buf = make([]byte, d.P.BlockSize)
-				d.data[blk] = buf
-			}
-			clear(buf[copy(buf, wdata):])
-			res = Result{OK: true}
-			d.Writes++
+	// The data moves at completion time. Completion times only grow, so
+	// operations complete in the order they were queued here.
+	d.queued.Push(queuedOp{op: req.Op, block: req.Block, data: req.Data, done: done})
+	d.rt.Eng.At(end, d.completeFn)
+}
+
+// queuedOp is a programmed operation waiting for its completion event.
+type queuedOp struct {
+	op    Op
+	block int
+	data  []byte
+	done  func(Result)
+}
+
+// complete is the completion event of the oldest queued operation.
+func (d *Disk) complete() {
+	q := d.queued.Pop()
+	data := q.data
+	var res Result
+	switch q.op {
+	case Read:
+		if cap(data) < d.P.BlockSize {
+			data = make([]byte, d.P.BlockSize)
 		}
-		d.BytesMoved += bytes
-		done(res)
-	})
+		data = data[:d.P.BlockSize]
+		clear(data[copy(data, d.data[q.block]):])
+		res = Result{OK: true, Data: data}
+		d.Reads++
+	case Write:
+		if d.failWrites > 0 {
+			d.failWrites--
+			d.WriteFailures++
+			q.done(Result{OK: false, Err: "injected write failure"})
+			return
+		}
+		if len(data) > d.P.BlockSize {
+			data = data[:d.P.BlockSize]
+		}
+		// Overwrite the block in place: every reader gets a copy, so no
+		// one else holds this buffer.
+		buf, ok := d.data[q.block]
+		if !ok {
+			if n := len(d.trimmed); n > 0 {
+				buf, d.trimmed = d.trimmed[n-1], d.trimmed[:n-1]
+			} else {
+				buf = make([]byte, d.P.BlockSize)
+			}
+			d.data[q.block] = buf
+		}
+		clear(buf[copy(buf, data):])
+		res = Result{OK: true}
+		d.Writes++
+	}
+	d.BytesMoved += uint64(d.P.BlockSize)
+	q.done(res)
 }
 
 // Driver is the paper's design: one thread owns the device; requests

@@ -249,3 +249,64 @@ func runStorm(t *testing.T, rt *core.Runtime, do func(*core.Thread, int) Result,
 	})
 	rt.Run()
 }
+
+// TestWriteOwnsBufferUntilDone: Program does not copy a write's payload.
+// The platter takes the bytes at completion, so a change made before
+// done runs reaches the media; one made after done does not.
+func TestWriteOwnsBufferUntilDone(t *testing.T) {
+	rt := newRT(t, 2)
+	disk := NewDisk(rt, DefaultDiskParams(8))
+	buf := bytes.Repeat([]byte{0x11}, 4096)
+	var res Result
+	rt.Boot("app", func(th *core.Thread) {
+		disk.Program(th, Request{Op: Write, Block: 3, Data: buf}, func(r Result) {
+			res = r
+			buf[1] = 0x33 // the buffer is the caller's again
+		})
+		buf[0] = 0x22 // still the write's: the device has not run yet
+	})
+	rt.Run()
+	if !res.OK {
+		t.Fatalf("write failed: %+v", res)
+	}
+	got := disk.SnapshotData()[3]
+	if got[0] != 0x22 || got[1] != 0x11 || got[2] != 0x11 {
+		t.Fatalf("platter = % x..., want 22 11 11: the write copied at Program or kept the buffer after done", got[:3])
+	}
+}
+
+// TestReadFillsGivenBuffer: a Read whose buffer has room for a block
+// returns it in that buffer; without one it allocates. Unwritten blocks
+// come back zeroed either way, whatever the buffer held.
+func TestReadFillsGivenBuffer(t *testing.T) {
+	rt := newRT(t, 2)
+	disk := NewDisk(rt, DefaultDiskParams(8))
+	buf := bytes.Repeat([]byte{0xFF}, 4096)[:0]
+	var written, unwritten, fresh Result
+	rt.Boot("app", func(th *core.Thread) {
+		irq := th.NewChan("irq", 1)
+		do := func(req Request) Result {
+			disk.Program(th, req, func(r Result) { rt.InjectSend(irq, r, th.Core()) })
+			v, _ := irq.Recv(th)
+			return v.(Result)
+		}
+		do(Request{Op: Write, Block: 2, Data: []byte{1, 2, 3}})
+		written = do(Request{Op: Read, Block: 2, Data: buf})
+		written.Data = bytes.Clone(written.Data)
+		unwritten = do(Request{Op: Read, Block: 5, Data: buf})
+		fresh = do(Request{Op: Read, Block: 2, Data: make([]byte, 0, 16)})
+	})
+	rt.Run()
+	if len(written.Data) != 4096 || !bytes.Equal(written.Data[:4], []byte{1, 2, 3, 0}) {
+		t.Fatalf("read of block 2 = % x...", written.Data[:4])
+	}
+	if len(unwritten.Data) != 4096 || &unwritten.Data[0] != &buf[:1][0] {
+		t.Fatal("read did not fill the buffer it was given")
+	}
+	if !bytes.Equal(unwritten.Data, make([]byte, 4096)) {
+		t.Fatal("unwritten block not zeroed in the given buffer")
+	}
+	if len(fresh.Data) != 4096 || fresh.Data[0] != 1 {
+		t.Fatalf("read with a short buffer: %d bytes, first %x", len(fresh.Data), fresh.Data[0])
+	}
+}

@@ -556,6 +556,26 @@ func (t *Thread) Call(svc *Chan, arg Msg) (Msg, bool) {
 	return reply.Recv(t)
 }
 
+// ReplyChan returns the reply channel t keeps for its synchronous calls
+// into owner (a kernel, say), made with NewChan on first use. A caller
+// with at most one call outstanding per owner needs only the one
+// channel. The thread holds it, so it goes away with the thread.
+func (t *Thread) ReplyChan(owner any, name string) *Chan {
+	for _, r := range t.replies {
+		if r.owner == owner {
+			return r.ch
+		}
+	}
+	ch := t.NewChan(name, 1)
+	t.replies = append(t.replies, ownedReply{owner: owner, ch: ch})
+	return ch
+}
+
+type ownedReply struct {
+	owner any
+	ch    *Chan
+}
+
 // Call is the standard request envelope used by Thread.Call and the
 // kernel's service protocol.
 type Call struct {

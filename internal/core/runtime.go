@@ -178,7 +178,7 @@ type Runtime struct {
 	nextID int
 	nextCh int
 
-	idleStack []int // cores that went idle with nothing stealable
+	idle idleStack // cores that went idle with nothing stealable
 
 	threads map[int]*Thread
 	stats   Stats
@@ -195,8 +195,60 @@ type coreState struct {
 	cur      *Thread // thread currently owning the core (running or mid-op)
 	runq     fifo.Queue[*Thread]
 	lastTID  int  // last thread that ran; used to charge context switches
-	idle     bool // parked with empty queue, waiting for a kick
+	idle     bool // parked with empty queue, waiting for a kick (in Runtime.idle)
 	assigned int  // live threads placed on this core
+
+	below, above *coreState // neighbours in Runtime.idle while idle
+}
+
+// idleStack holds the idle cores kickIdleCore may wake, most recently
+// idled on top. It is intrusive, and a core is in it exactly while its
+// idle flag is set: push on going idle, remove on leaving idle. So it
+// never holds more than one entry per core.
+//
+// This kicks the same cores in the same order as a plain stack that
+// pushes on every idle transition and skips entries whose core is no
+// longer idle when popped. An older entry of core X sits below X's
+// newest one, so it is popped only after the newest was popped. Then
+// X either was busy or was woken by that kick, and it could go idle
+// again only by pushing a newer entry. The older entry is therefore
+// always stale by the time it is popped, and dropping it early changes
+// nothing but the memory it held.
+type idleStack struct{ top *coreState }
+
+func (s *idleStack) push(cs *coreState) {
+	cs.idle = true
+	cs.below, cs.above = s.top, nil
+	if s.top != nil {
+		s.top.above = cs
+	}
+	s.top = cs
+}
+
+// remove takes cs out of the stack if it is idle.
+func (s *idleStack) remove(cs *coreState) {
+	if !cs.idle {
+		return
+	}
+	cs.idle = false
+	if cs.above != nil {
+		cs.above.below = cs.below
+	} else {
+		s.top = cs.below
+	}
+	if cs.below != nil {
+		cs.below.above = cs.above
+	}
+	cs.below, cs.above = nil, nil
+}
+
+// pop removes and returns the most recently idled core, nil if none.
+func (s *idleStack) pop() *coreState {
+	cs := s.top
+	if cs != nil {
+		s.remove(cs)
+	}
+	return cs
 }
 
 // NewRuntime builds a runtime over machine m.
@@ -214,14 +266,13 @@ func NewRuntime(m *machine.Machine, cfg Config) *Runtime {
 		rt.sched = &roundRobin{}
 	}
 	rt.cores = make([]*coreState, m.NumCores())
-	rt.idleStack = make([]int, 0, m.NumCores())
 	for i := range rt.cores {
-		rt.cores[i] = &coreState{id: i, lastTID: -1, idle: true}
+		rt.cores[i] = &coreState{id: i, lastTID: -1}
 	}
 	// Every core starts idle and kickable (stack pops last-first, so low
 	// cores are kicked first).
 	for i := m.NumCores() - 1; i >= 0; i-- {
-		rt.idleStack = append(rt.idleStack, i)
+		rt.idle.push(rt.cores[i])
 	}
 	return rt
 }
@@ -374,16 +425,8 @@ func (rt *Runtime) makeReady(t *Thread) {
 
 // kickIdleCore wakes one idle core so its scheduler can attempt a steal.
 func (rt *Runtime) kickIdleCore() {
-	for len(rt.idleStack) > 0 {
-		id := rt.idleStack[len(rt.idleStack)-1]
-		rt.idleStack = rt.idleStack[:len(rt.idleStack)-1]
-		cs := rt.cores[id]
-		if !cs.idle {
-			continue // stale entry
-		}
-		cs.idle = false
+	if cs := rt.idle.pop(); cs != nil {
 		rt.dispatch(cs)
-		return
 	}
 }
 
@@ -408,13 +451,12 @@ func (rt *Runtime) dispatch(cs *coreState) {
 			t = st
 		} else {
 			if !cs.idle {
-				cs.idle = true
-				rt.idleStack = append(rt.idleStack, cs.id)
+				rt.idle.push(cs)
 			}
 			return
 		}
 	}
-	cs.idle = false
+	rt.idle.remove(cs)
 	cs.cur = t
 	t.segStart = rt.Eng.Now()
 	t.state = tRunning

@@ -135,6 +135,8 @@ type Thread struct {
 	parked bool // blocked in Park
 	permit bool // Unpark arrived before Park
 
+	replies []ownedReply // see ReplyChan
+
 	segStart sim.Time // when this thread last gained its core (tracing)
 
 	exitReason error

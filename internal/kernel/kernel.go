@@ -94,13 +94,6 @@ type Kernel struct {
 	nextKC      int
 	services    map[string]*Service
 
-	// replyCache reuses one synchronous-call reply channel per client
-	// thread (a thread has at most one outstanding Call). It is keyed by
-	// the thread itself, not its id: ids are per runtime, and a caller
-	// on another machine may share an id with a thread of this one.
-	// CallAsync always allocates, since many replies can be in flight.
-	replyCache map[*core.Thread]*core.Chan
-
 	// SyscallQueueDepth is the per-shard request channel capacity
 	// (asynchronous sends queue up to this depth). Default 64.
 	SyscallQueueDepth int
@@ -138,7 +131,6 @@ func New(rt *core.Runtime, cfg Config) *Kernel {
 	k := &Kernel{
 		RT:                rt,
 		services:          make(map[string]*Service),
-		replyCache:        make(map[*core.Thread]*core.Chan),
 		SyscallQueueDepth: cfg.SyscallQueueDepth,
 	}
 	if k.SyscallQueueDepth <= 0 {
@@ -226,11 +218,10 @@ func (k *Kernel) Call(t *core.Thread, service string, key int, op string, arg co
 	if s == nil {
 		panic(fmt.Sprintf("kernel: no such service %q", service))
 	}
-	reply, ok := k.replyCache[t]
-	if !ok {
-		reply = t.NewChan("syscall.reply", 1)
-		k.replyCache[t] = reply
-	}
+	// A thread has at most one Call outstanding, so it reuses one reply
+	// channel per kernel; the thread holds it, so it dies with the thread.
+	// CallAsync always allocates, since many replies can be in flight.
+	reply := t.ReplyChan(k, "syscall.reply")
 	s.ShardFor(key).Send(t, Request{Op: op, Key: key, Arg: arg, Reply: reply})
 	v, _ := reply.Recv(t)
 	return v

@@ -1,7 +1,9 @@
 package kernel
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"chanos/internal/core"
 	"chanos/internal/machine"
@@ -255,5 +257,40 @@ func TestCallFromAnotherRuntimeKeepsItsOwnReply(t *testing.T) {
 	eng.Run()
 	if len(got) != 0 {
 		t.Fatalf("callers received other callers' replies: %v", got)
+	}
+}
+
+// TestCallKeepsNothingForDeadThreads: a thread's synchronous-call reply
+// channel lives on the thread, so once 1,000 one-call threads have
+// exited, neither the kernel nor anything else keeps them reachable.
+func TestCallKeepsNothingForDeadThreads(t *testing.T) {
+	rt := newRT(t, 4)
+	k := New(rt, Config{})
+	k.Register("echo", 2, func(t *core.Thread, req Request) core.Msg { return req.Arg })
+	const n = 1000
+	callers := make([]weak.Pointer[core.Thread], 0, n)
+	rt.Boot("spawner", func(th *core.Thread) {
+		for i := 0; i < n; i++ {
+			c := th.Spawn("caller", func(c *core.Thread) {
+				if got := k.Call(c, "echo", i, "ping", i); got != i {
+					t.Errorf("call %d returned %v", i, got)
+				}
+			})
+			callers = append(callers, weak.Make(c))
+		}
+	})
+	rt.Run()
+	runtime.GC()
+	live := 0
+	for _, p := range callers {
+		if p.Value() != nil {
+			live++
+		}
+	}
+	if live > 0 {
+		t.Fatalf("%d of %d exited calling threads still reachable", live, n)
+	}
+	if got := k.Service("echo").Ops; got != n {
+		t.Fatalf("echo served %d calls, want %d", got, n)
 	}
 }

@@ -118,7 +118,7 @@ func (sh *shard) startCompaction(t *core.Thread) {
 		waitBlock:    -1,
 	}
 	sh.openBlock = sh.s.regionStart(sh.epoch + 1)
-	sh.open = nil
+	sh.open = sh.open[:0]
 	sh.scheduleCompact(t)
 }
 

@@ -225,6 +225,9 @@ type flushDone struct {
 	// metadata for the flush-latency histogram, carried free (it does
 	// not change the message's billed size).
 	at sim.Time
+	// spare is an ordinary rewrite's buffer on its way back to the
+	// shard's free list: host memory, carried free like at.
+	spare []byte
 }
 
 func (d flushDone) MsgBytes() int { return 32 + len(d.data) }
@@ -264,9 +267,9 @@ const (
 	blockHeader = 8 // per-block epoch stamp
 )
 
-// stampEpoch starts a fresh open-block buffer with its epoch stamp.
-func stampEpoch(epoch uint64) []byte {
-	b := make([]byte, blockHeader)
+// stampEpoch restarts the open-block buffer b with its epoch stamp.
+func stampEpoch(b []byte, epoch uint64) []byte {
+	b = b[:blockHeader]
 	binary.LittleEndian.PutUint64(b, epoch)
 	return b
 }
@@ -393,11 +396,16 @@ type shard struct {
 
 	idx   map[string]loc
 	cache *lruCache
+	// pool is the free list behind open, the cache and every in-flight
+	// log write and cache-miss read (lru.go): block buffers move between
+	// those owners instead of being copied into fresh ones.
+	pool blockPool
 
-	open       []byte // contents of the open (tail) log block
+	open       []byte // contents of the open (tail) log block; capacity BlockSize
 	openBlock  int
 	dirty      int            // records appended since the last flush was issued
 	waiters    []pendingWrite // acks riding on the next flush
+	spareBatch []pendingWrite // a completed flush's emptied batch, for waiters to reuse
 	flushArmed bool
 
 	reads map[int][]pendingRead // block -> GETs awaiting its disk read
@@ -676,10 +684,11 @@ func (s *Store) shardHandler(id int) kernel.Handler {
 		s:         s,
 		disk:      s.disks[id],
 		idx:       make(map[string]loc),
-		cache:     newLRUCache(s.P.CacheBlocks),
+		pool:      blockPool{size: s.P.Disk.BlockSize},
 		reads:     make(map[int][]pendingRead),
 		openBlock: s.regionStart(0),
 	}
+	sh.cache = newLRUCache(s.P.CacheBlocks, &sh.pool)
 	s.shards[id] = sh
 	return func(t *core.Thread, req kernel.Request) core.Msg {
 		switch req.Op {
@@ -791,7 +800,7 @@ func (sh *shard) parkRead(t *core.Thread, block int, pr pendingRead) {
 func (sh *shard) programRead(t *core.Thread, block int) {
 	svc, id, from := sh.s.svc, sh.id, t.Core()
 	rt := sh.s.rt
-	sh.disk.Program(t, blockdev.Request{Op: blockdev.Read, Block: block}, func(res blockdev.Result) {
+	sh.disk.Program(t, blockdev.Request{Op: blockdev.Read, Block: block, Data: sh.pool.get()}, func(res blockdev.Result) {
 		rt.InjectSend(svc.Shard(id), kernel.Request{
 			Op: "readdone", Key: id,
 			Arg: readDone{block: block, data: res.Data, ok: res.OK, err: res.Err},
@@ -799,8 +808,9 @@ func (sh *shard) programRead(t *core.Thread, block int) {
 	})
 }
 
-// readDone lands a cache-miss block, answers every GET parked on it,
-// and resumes a compaction sweep waiting for the block's contents.
+// readDone lands a cache-miss block (the cache takes the buffer),
+// answers every GET parked on it, and resumes a compaction sweep waiting
+// for the block's contents.
 func (sh *shard) readDone(t *core.Thread, d readDone) {
 	waiting := sh.reads[d.block]
 	delete(sh.reads, d.block)
@@ -976,8 +986,11 @@ func (sh *shard) writeEpoch() uint64 {
 // advancing past) the block first if the record does not fit. Reports
 // false when the write epoch's region is exhausted.
 func (sh *shard) append(t *core.Thread, op byte, key string, val []byte, ver uint64) bool {
-	if sh.open == nil {
-		sh.open = stampEpoch(sh.writeEpoch())
+	if len(sh.open) == 0 {
+		if sh.open == nil {
+			sh.open = sh.pool.get()
+		}
+		sh.open = stampEpoch(sh.open, sh.writeEpoch())
 	}
 	rec := recHeader + len(key) + len(val)
 	if len(sh.open)+rec+1 > sh.s.P.Disk.BlockSize {
@@ -991,7 +1004,7 @@ func (sh *shard) append(t *core.Thread, op byte, key string, val []byte, ver uin
 		// queued behind the seal write — slower, never stale.
 		sh.flush(t, true)
 		sh.openBlock++
-		sh.open = stampEpoch(sh.writeEpoch())
+		sh.open = stampEpoch(sh.open, sh.writeEpoch())
 	}
 	sh.open = encRecord(sh.open, op, key, val, ver)
 	sh.dirty++
@@ -1017,21 +1030,24 @@ func (sh *shard) armFlush(t *core.Thread) {
 // queues internally, so the shard never blocks — it goes straight back
 // to serving requests. sealed marks a block being written for the last
 // time: its contents enter the cache when (and only when) this write
-// completes.
+// completes. The write owns a free-list copy of the open block until
+// then; an ordinary rewrite's copy goes back to the free list.
 func (sh *shard) flush(t *core.Thread, sealed bool) {
 	sh.replShipOut(t) // the records riding this flush ship to the replica now
 	batch := sh.waiters
-	sh.waiters = nil
+	sh.waiters, sh.spareBatch = sh.spareBatch, nil
 	sh.dirty = 0
 	sh.m.FlushesStarted++
 	sh.flushesIssued++
 	sh.m.BatchSize.Add(uint64(len(batch)))
 	issued := sh.now()
 	sh.m.flight.Record(issued, "flush", "", uint64(len(batch)), uint64(sh.openBlock))
-	block, data := sh.openBlock, copyBytes(sh.open)
-	var cacheData []byte
+	block, data := sh.openBlock, append(sh.pool.get(), sh.open...)
+	var cacheData, spare []byte
 	if sealed {
 		cacheData = data
+	} else {
+		spare = data
 	}
 	svc, id, from := sh.s.svc, sh.id, t.Core()
 	rt := sh.s.rt
@@ -1040,7 +1056,7 @@ func (sh *shard) flush(t *core.Thread, sealed bool) {
 	}, func(res blockdev.Result) {
 		rt.InjectSend(svc.Shard(id), kernel.Request{
 			Op: "flushed", Key: id,
-			Arg: flushDone{batch: batch, block: block, data: cacheData, sealed: sealed, ok: res.OK, err: res.Err, at: issued},
+			Arg: flushDone{batch: batch, block: block, data: cacheData, sealed: sealed, ok: res.OK, err: res.Err, at: issued, spare: spare},
 		}, from)
 	})
 }
@@ -1051,10 +1067,12 @@ func (sh *shard) flush(t *core.Thread, sealed bool) {
 // refer to records the platters never got, so continuing to serve would
 // hand out state a restart provably diverges from.
 func (sh *shard) flushed(t *core.Thread, d flushDone) {
+	defer sh.recycleBatch(d.batch)
 	sh.m.FlushesDone++
 	sh.flushesDone++
 	sh.m.FlushedRecords += uint64(len(d.batch))
 	sh.m.FlushLatency.Add(sh.now() - d.at)
+	sh.pool.put(d.spare)
 	if !d.ok {
 		// Name the invariant path in the ring before the drain rewrites
 		// it: a failed log write is the disk-fault fail-stop route, and
@@ -1108,6 +1126,14 @@ func (sh *shard) flushed(t *core.Thread, d flushDone) {
 		sh.drainReplReads(t)
 	}
 	sh.maybeCommitEpoch(t)
+}
+
+// recycleBatch keeps a handled flush's batch slice for the next waiters.
+func (sh *shard) recycleBatch(b []pendingWrite) {
+	clear(b)
+	if cap(b) > cap(sh.spareBatch) {
+		sh.spareBatch = b[:0]
+	}
 }
 
 // ackLocal completes a client write at local durability (the
@@ -1203,8 +1229,12 @@ func (sh *shard) recover(t *core.Thread) {
 	rt := sh.s.rt
 	irq := t.NewChan(fmt.Sprintf("store.%d.recover", sh.id), 1)
 	from := t.Core()
+	// Replay reads one block at a time into one buffer: each result is
+	// parsed (keys are copied out) before the next read overwrites it.
+	scratch := sh.pool.get()
+	defer sh.pool.put(scratch)
 	readBlock := func(b int) blockdev.Result {
-		sh.disk.Program(t, blockdev.Request{Op: blockdev.Read, Block: b}, func(res blockdev.Result) {
+		sh.disk.Program(t, blockdev.Request{Op: blockdev.Read, Block: b, Data: scratch}, func(res blockdev.Result) {
 			rt.InjectSend(irq, res, from)
 		})
 		v, _ := irq.Recv(t)
@@ -1248,7 +1278,10 @@ func (sh *shard) recover(t *core.Thread) {
 			if parsed == blockHeader {
 				break // stamp matched by accident (epoch 0 = zeroes): never written
 			}
-			tailBlock, tail, blocks = b, copyBytes(res.Data[:parsed]), blocks+1
+			if tail == nil {
+				tail = sh.pool.get()
+			}
+			tailBlock, tail, blocks = b, append(tail[:0], res.Data[:parsed]...), blocks+1
 		}
 		return
 	}
@@ -1272,6 +1305,7 @@ func (sh *shard) recover(t *core.Thread) {
 			srcUsed = (aTail-sh.s.regionStart(sh.epoch))*sh.s.P.Disk.BlockSize + len(aBytes)
 		}
 		sh.openBlock, sh.open = cTail, cBytes
+		sh.pool.put(aBytes)
 		sh.resumeCompaction(t, srcUsed)
 		return
 	}

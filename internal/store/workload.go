@@ -20,6 +20,7 @@ type Workload struct {
 
 	hot  int
 	rngs []*sim.RNG
+	keys []string // Key's names, formatted once
 }
 
 // NewWorkload builds the generator for a client fleet.
@@ -29,6 +30,10 @@ func NewWorkload(seed uint64, clients, numKeys, readPct, valBytes int) *Workload
 		hot = 1
 	}
 	w := &Workload{NumKeys: numKeys, ReadPct: readPct, Val: make([]byte, valBytes), hot: hot}
+	w.keys = make([]string, numKeys)
+	for i := range w.keys {
+		w.keys[i] = keyName(i)
+	}
 	for i := 0; i < clients; i++ {
 		w.rngs = append(w.rngs, sim.NewRNG(seed+uint64(i)*0x9e3779b9+1))
 	}
@@ -36,7 +41,14 @@ func NewWorkload(seed uint64, clients, numKeys, readPct, valBytes int) *Workload
 }
 
 // Key returns the i-th key of the keyspace.
-func (w *Workload) Key(i int) string { return fmt.Sprintf("key/%05d", i) }
+func (w *Workload) Key(i int) string {
+	if i >= 0 && i < len(w.keys) {
+		return w.keys[i]
+	}
+	return keyName(i)
+}
+
+func keyName(i int) string { return fmt.Sprintf("key/%05d", i) }
 
 // MakeReq draws one request for a client — the net.ClientParams.MakeReq
 // shape.

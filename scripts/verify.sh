@@ -54,8 +54,10 @@ if [ "$short" = "0" ]; then
     echo "== simulator microbenchmarks (host ns, bytes and allocs per op)"
     # go test ./... only compiles the root microbenchmarks; run them once
     # so every log shows the allocs/op figures ROADMAP's targets refer
-    # to. The thresholds live in the AllocsPerRun tests, not here.
-    go test -run '^$' -bench 'Runtime|Engine' -benchtime 2000x -benchmem .
+    # to, and the store log path's bytes per write (StoreWriteFlush).
+    # The thresholds live in the AllocsPerRun tests and in
+    # TestLogPathRecyclesBlocks, not here.
+    go test -run '^$' -bench 'Runtime|Engine|StoreWriteFlush' -benchtime 2000x -benchmem .
 
     echo "== experiment contracts E15-E18 (quick, -json artifacts)"
     # Each table checks its own contracts (stats.Table.Check, the same
